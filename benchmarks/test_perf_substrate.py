@@ -160,11 +160,11 @@ def test_scale_smoke_100000_servers(benchmark):
 
 
 def test_scale_smoke_1000000_servers(benchmark):
-    """A million-server managed day over the shared-memory fabric.
+    """A million-server managed day over supervised shard workers.
 
     Fifty thousand racks, 1000 zones, 400 CRACs, cut into 16
-    zone-shards over 4 worker processes exchanging per-period
-    telemetry through ``repro.datacenter.shm``.  Roughly 10x the 100k
+    zone-shards over 4 pipe worker processes
+    (``repro.datacenter.workers``).  Roughly 10x the 100k
     row's wall time, so it only runs when ``REPRO_BIG_BENCH=1`` (the
     nightly job sets it; the default suite stays fast).
     """

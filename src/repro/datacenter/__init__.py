@@ -10,24 +10,19 @@ from repro.datacenter.availability import (
 from repro.datacenter.cosim import CoSimResult, CoSimulation
 from repro.datacenter.sharded import (
     ShardedCoSimulation,
-    ShardWorkerDied,
-    ShardWorkerPool,
-    ShardWorkerTimeout,
     merge_resilience,
     merge_results,
     partition_faults,
     partition_spec,
-    poll_recv,
-)
-from repro.datacenter.shm import (
-    FabricBlock,
-    ShmLane,
-    ShmLaneClosed,
-    ShmLaneTimeout,
-    shm_available,
 )
 from repro.datacenter.spec import DataCenter, DataCenterSpec
 from repro.datacenter.tiers import Tier, TIER_SPECS, TierSpec
+from repro.datacenter.workers import (
+    ShardWorkerDied,
+    ShardWorkerPool,
+    ShardWorkerTimeout,
+    poll_recv,
+)
 
 __all__ = [
     "AvailabilityEstimate",
@@ -37,15 +32,10 @@ __all__ = [
     "CoSimulation",
     "DataCenter",
     "DataCenterSpec",
-    "FabricBlock",
     "ShardedCoSimulation",
     "ShardWorkerDied",
     "ShardWorkerPool",
     "ShardWorkerTimeout",
-    "ShmLane",
-    "ShmLaneClosed",
-    "ShmLaneTimeout",
-    "shm_available",
     "merge_resilience",
     "merge_results",
     "partition_faults",

@@ -14,33 +14,19 @@ shard — its deliverable (healthy) capacity — and redistributes the
 global demand proportionally for the next period, exactly what a
 global load balancer in front of N rooms would do.  Between sync
 points the shards share nothing, so they can run in worker processes
-(persistent :func:`multiprocessing.Pipe` servers, one batch of shards
-per worker) with only ``2 × shards`` floats crossing the boundary per
-period.
+(one batch of shards per worker) with only ``2 × shards`` floats
+crossing the boundary per period.
 
-Transport: zero-copy shard fabric
----------------------------------
-With workers, the per-period payloads (demand-share vector down,
-capacity column up) travel through one shared-memory
-:class:`~repro.datacenter.shm.FabricBlock` per worker under the
-seqlock/epoch protocol — the pipe then carries only control tokens,
-so the hot path serializes nothing.  When shared memory is
-unavailable (or ``REPRO_NO_SHM=1``), the payloads ride the pipe
-exactly as before; :attr:`ShardedCoSimulation.transport` records
-which path ran (``"local"`` / ``"shm"`` / ``"pipe"``), and both
-transports are bit-identical to ``workers=1`` (float64 columns
-round-trip exactly either way).  Control, error reporting, build
-configs and the final result pickle always stay on the pipe — they
-are the crash-attribution and replay surface.
-
-Warm worker reuse
------------------
-Spawning a worker pays interpreter fork + first-build cost; bench
-``--repeat`` loops rebuild everything per iteration by design (runs
-are one-shot for determinism) but can share a
-:class:`ShardWorkerPool`, which keeps persistent worker processes
-alive between runs and re-``build``\\ s each run's shard batches on
-the warm processes.
+Workers
+-------
+``workers > 1`` runs each shard batch as a :class:`_ShardGroup` in a
+supervised pipe worker (:mod:`repro.datacenter.workers`, the same
+supervisor the federation uses): every reply has a deadline, a dead or
+hung worker is respawned and its message log — the ``build`` message
+plus every ``advance`` — replayed, so a SIGKILLed worker changes wall
+time, not the result.  A :class:`ShardWorkerPool` keeps workers warm
+between runs (bench ``--repeat`` loops); each run re-``build``\\ s its
+shard batches on the warm processes.
 
 Determinism contract
 --------------------
@@ -48,21 +34,12 @@ Determinism contract
   the in-process path uses; the parent computes shares from shard
   aggregates in shard-index order in both modes.  ``workers=1``
   therefore produces a bit-identical :class:`CoSimResult` to
-  ``workers=N`` — the CI smoke test asserts it — and is the reference
-  for the parallel path, mirroring ``perf.sweep``'s contract.
+  ``workers=N`` — with or without a worker SIGKILL — and is the
+  reference for the parallel path, mirroring ``perf.sweep``'s
+  contract.
 * The *single-process unsharded* path is untouched: sharding is a new
   driver next to :class:`CoSimulation`, not a change to it, so manager
   decisions and golden tables cannot shift.
-
-Worker liveness
----------------
-The parent never blocks forever on a pipe: every reply crosses
-:func:`poll_recv`, which polls with a deadline and watches the worker
-process, raising :class:`ShardWorkerDied` (process gone) or
-:class:`ShardWorkerTimeout` (hung past ``recv_deadline_s``) with the
-shard ids and the last completed macro period.  The federation
-supervisor (:mod:`repro.federation`) reuses the same helper — and
-layers restart-and-replay on top of it.
 
 Fault domains inside shards
 ---------------------------
@@ -94,81 +71,22 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import multiprocessing
-import time
 import typing
-
-import numpy as np
 
 from repro.cluster.server import ServerState
 from repro.core.faults import FaultKind, FaultSchedule, ResilienceReport
 from repro.core.sla import SLAReport
 from repro.datacenter.cosim import CoSimResult, CoSimulation
-from repro.datacenter.shm import FabricBlock, shm_available
 from repro.datacenter.spec import DataCenterSpec
+from repro.datacenter.workers import Job, ShardWorkerPool, supervised
 
 __all__ = [
     "partition_spec",
     "partition_faults",
     "merge_resilience",
     "merge_results",
-    "poll_recv",
-    "ShardWorkerDied",
-    "ShardWorkerTimeout",
     "ShardedCoSimulation",
-    "ShardWorkerPool",
 ]
-
-
-class ShardWorkerDied(RuntimeError):
-    """A pipe worker process exited (or broke its pipe) mid-protocol.
-
-    The message names the shard ids served by the worker and the last
-    macro period it completed, so a crash in a 96-shard campaign is
-    attributable without archaeology.
-    """
-
-
-class ShardWorkerTimeout(ShardWorkerDied):
-    """A pipe worker failed to reply within the receive deadline.
-
-    Subclass of :class:`ShardWorkerDied`: callers that only care about
-    "the worker is gone" catch the base class; callers that restart
-    differently on hang vs. crash can distinguish.
-    """
-
-
-def poll_recv(conn, deadline_s: float, proc=None, context: str = ""):
-    """``conn.recv()`` with a liveness poll instead of a blocking wait.
-
-    Polls ``conn`` in short slices up to ``deadline_s`` wall seconds.
-    Raises :class:`ShardWorkerDied` as soon as the worker process is
-    observed dead with nothing left in the pipe (or the pipe returns
-    EOF), and :class:`ShardWorkerTimeout` when the deadline passes
-    with the worker still alive — a hung worker, not a dead one.
-    ``context`` is appended to the error message (shard ids, last
-    completed period).
-    """
-    if deadline_s <= 0:
-        raise ValueError("receive deadline must be positive")
-    deadline = time.monotonic() + deadline_s
-    while True:
-        remaining = deadline - time.monotonic()
-        if conn.poll(min(0.05, max(0.0, remaining))):
-            try:
-                return conn.recv()
-            except (EOFError, OSError) as exc:
-                raise ShardWorkerDied(
-                    f"worker pipe closed mid-protocol{context}: "
-                    f"{type(exc).__name__}") from exc
-        if proc is not None and not proc.is_alive() and not conn.poll(0):
-            raise ShardWorkerDied(
-                f"worker process exited (code {proc.exitcode})"
-                f"{context}")
-        if remaining <= 0:
-            raise ShardWorkerTimeout(
-                f"no reply within {deadline_s:.0f}s deadline"
-                f"{context}")
 
 
 def partition_spec(spec: DataCenterSpec,
@@ -483,299 +401,6 @@ class _ShardGroup:
         return [(s.index, s.finish()) for s in self.shards]
 
 
-def _group_layout(n_shards: int,
-                  n_local: int) -> tuple[tuple[str, int], ...]:
-    """Fabric lanes for one worker group.
-
-    ``shares``: the parent's full demand-share vector (indexed by
-    global shard id — every group reads the same column it would have
-    received as a dict).  ``caps``: the group's deliverable-capacity
-    column, one slot per local shard in ``shard_ids`` order.
-    """
-    return (("shares", n_shards), ("caps", max(1, n_local)))
-
-
-def _shard_worker(conn, persist: bool = False) -> None:
-    """Persistent worker: serve shard batches over a pipe (+ fabric).
-
-    Each run starts with ``("build", items, demand_cfg,
-    total_capacity, managed, shm)`` and ends with ``("finish",)`` →
-    ``("result", ...)``; with ``persist`` the worker then waits for
-    the next ``build`` (warm reuse across bench repeats) until an
-    ``("exit",)``, otherwise it returns.  ``shm`` is ``(block name,
-    total shard count)`` or ``None``: with a fabric, the per-period
-    demand shares and capacity columns travel through the block's
-    seqlock lanes and the pipe carries only control tokens; without
-    one, the payloads ride the pipe as before.
-    """
-    block = None
-    try:
-        while True:
-            msg = conn.recv()
-            if msg[0] == "exit":
-                return
-            if msg[0] != "build":  # pragma: no cover - protocol guard
-                raise RuntimeError(f"unknown message {msg[0]!r}")
-            _, items, demand_cfg, total_capacity, managed, shm = msg
-            group = _ShardGroup(items, demand_cfg, total_capacity,
-                                managed)
-            local_ids = [i for i, _, _ in items]
-            shares_lane = caps_lane = None
-            if shm is not None:
-                name, n_shards = shm
-                block = FabricBlock.attach(
-                    name, _group_layout(n_shards, len(local_ids)))
-                shares_lane = block.lane("shares")
-                caps_lane = block.lane("caps")
-            conn.send(("ready", group.ready()))
-            period = 0
-            while True:
-                msg = conn.recv()
-                if msg[0] == "advance":
-                    period += 1
-                    if msg[2] is not None:
-                        shares = msg[2]
-                    else:
-                        vec = shares_lane.read(period)
-                        shares = {i: float(vec[i]) for i in local_ids}
-                    out = group.advance(msg[1], shares)
-                    if caps_lane is not None:
-                        caps_lane.write(period,
-                                        [cap for _, cap in out])
-                        conn.send(("ok", None))
-                    else:
-                        conn.send(("ok", out))
-                elif msg[0] == "finish":
-                    conn.send(("result", group.finish()))
-                    break
-                else:  # pragma: no cover - protocol guard
-                    raise RuntimeError(f"unknown message {msg[0]!r}")
-            del group
-            if block is not None:
-                block.close()
-                block = None
-            if not persist:
-                return
-    except BaseException as exc:  # noqa: BLE001 - reported to parent
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (BrokenPipeError, OSError):  # pragma: no cover
-            pass
-        raise
-    finally:
-        if block is not None:
-            block.close()
-        conn.close()
-
-
-class _LocalGroup:
-    """In-process stand-in with the worker-pipe call surface."""
-
-    def __init__(self, items, demand_cfg, total_capacity, managed,
-                 recv_deadline_s=None):
-        self.group = _ShardGroup(items, demand_cfg, total_capacity,
-                                 managed)
-
-    def ready(self):
-        return self.group.ready()
-
-    def advance(self, until, shares):
-        return self.group.advance(until, shares)
-
-    def finish(self):
-        return self.group.finish()
-
-    def close(self):
-        pass
-
-
-class _ShardWorkerHandle:
-    """A worker process serving one shard batch over a pipe.
-
-    Every reply crosses :func:`poll_recv` with ``recv_deadline_s``, so
-    a SIGKILLed or hung worker surfaces as :class:`ShardWorkerDied` /
-    :class:`ShardWorkerTimeout` naming the shards it served and the
-    last macro period it completed — never as a parent blocked forever
-    in ``Connection.recv``.
-
-    With a ``fabric`` (a :class:`~repro.datacenter.shm.FabricBlock`
-    the caller created and owns), the per-period share vector and
-    capacity column travel through its lanes at the macro-period
-    epoch; the pipe then carries only control tokens.  With
-    ``persist``, the worker process outlives :meth:`finish` so a
-    :class:`ShardWorkerPool` can rebuild the next run on it warm.
-    """
-
-    def __init__(self, items, demand_cfg, total_capacity, managed,
-                 recv_deadline_s: float = 120.0, fabric=None,
-                 persist: bool = False):
-        ctx = multiprocessing.get_context()
-        self.conn, child = ctx.Pipe()
-        self.recv_deadline_s = float(recv_deadline_s)
-        self.persist = bool(persist)
-        self.shard_ids: list[int] = []
-        self.completed_periods = 0
-        self._done = True
-        self.proc = ctx.Process(target=_shard_worker,
-                                args=(child, self.persist), daemon=True)
-        self.proc.start()
-        child.close()
-        self.build(items, demand_cfg, total_capacity, managed, fabric)
-
-    def build(self, items, demand_cfg, total_capacity, managed,
-              fabric=None) -> None:
-        """Start one run (on a fresh spawn or a warm pooled worker)."""
-        self.shard_ids = [i for i, _, _ in items]
-        self.completed_periods = 0
-        self._done = False
-        self._fabric = fabric
-        if fabric is not None:
-            self._shares_lane = fabric.lane("shares")
-            self._caps_lane = fabric.lane("caps")
-            self._share_vec = np.zeros(self._shares_lane.size)
-            shm = (fabric.name, self._shares_lane.size)
-        else:
-            self._shares_lane = self._caps_lane = None
-            shm = None
-        self._send(("build", items, demand_cfg, total_capacity,
-                    managed, shm))
-
-    def _context(self) -> str:
-        return (f" (shards {self.shard_ids}, last completed period "
-                f"{self.completed_periods})")
-
-    def _send(self, message: tuple) -> None:
-        try:
-            self.conn.send(message)
-        except (BrokenPipeError, OSError) as exc:
-            raise ShardWorkerDied(
-                f"worker pipe broken on send{self._context()}: "
-                f"{type(exc).__name__}") from exc
-
-    def _recv(self, expect: str):
-        msg = poll_recv(self.conn, self.recv_deadline_s, proc=self.proc,
-                        context=self._context())
-        if msg[0] == "error":
-            raise RuntimeError(f"shard worker failed: {msg[1]}")
-        if msg[0] != expect:  # pragma: no cover - protocol guard
-            raise RuntimeError(f"expected {expect!r}, got {msg[0]!r}")
-        return msg[1]
-
-    def ready(self):
-        return self._recv("ready")
-
-    def advance(self, until, shares):
-        period = self.completed_periods + 1
-        if self._fabric is not None:
-            for i, share in shares.items():
-                self._share_vec[i] = share
-            self._shares_lane.write(period, self._share_vec)
-            self._send(("advance", until, None))
-            self._recv("ok")
-            caps = self._caps_lane.read(period,
-                                        deadline_s=self.recv_deadline_s)
-            out = [(i, float(caps[k]))
-                   for k, i in enumerate(self.shard_ids)]
-        else:
-            self._send(("advance", until, shares))
-            out = self._recv("ok")
-        self.completed_periods += 1
-        return out
-
-    def finish(self):
-        self._send(("finish",))
-        out = self._recv("result")
-        self._done = True
-        if not self.persist:
-            self.proc.join(timeout=30.0)
-        return out
-
-    def close(self):
-        """Release the run; pooled workers survive a *clean* finish.
-
-        A persistent worker that completed its run stays alive for the
-        pool to rebuild (the pool's own :meth:`ShardWorkerPool.close`
-        retires it); one closed mid-run is in an unknown state and is
-        terminated like a non-pooled worker.
-        """
-        if self.persist and self._done and self.proc.is_alive():
-            return
-        self.conn.close()
-        if self.proc.is_alive():  # pragma: no cover - error cleanup
-            self.proc.terminate()
-            self.proc.join(timeout=5.0)
-
-
-class ShardWorkerPool:
-    """Persistent shard workers reused across sharded runs.
-
-    ``ShardedCoSimulation`` is one-shot by design; benchmark
-    ``--repeat`` loops therefore pay worker spawn + build every
-    iteration.  A pool keeps up to ``workers`` persistent pipe
-    servers alive between runs: pass the same pool to successive
-    ``ShardedCoSimulation(..., pool=...)`` constructions and each run
-    re-``build``\\ s its shard batches on the warm processes.  Close
-    the pool (or use it as a context manager) to retire the workers.
-
-    Reuse cannot perturb results: the worker rebuilds its whole
-    :class:`_ShardGroup` from the build message, so a warm process
-    differs from a fresh one only by interpreter startup cost.
-    """
-
-    def __init__(self, workers: int, recv_deadline_s: float = 120.0):
-        if workers < 1:
-            raise ValueError("pool needs at least one worker")
-        self.workers = int(workers)
-        self.recv_deadline_s = float(recv_deadline_s)
-        self._handles: list[_ShardWorkerHandle] = []
-
-    def lease(self, batches, demand_cfg, total_capacity, managed,
-              fabrics) -> list[_ShardWorkerHandle]:
-        """Handles for one run, reusing live workers where possible."""
-        if len(batches) > self.workers:
-            raise ValueError(
-                f"run wants {len(batches)} workers, pool holds "
-                f"{self.workers}")
-        out = []
-        for w, (items, fabric) in enumerate(zip(batches, fabrics)):
-            if (w < len(self._handles)
-                    and self._handles[w]._done
-                    and self._handles[w].proc.is_alive()):
-                handle = self._handles[w]
-                handle.build(items, demand_cfg, total_capacity,
-                             managed, fabric)
-            else:
-                handle = _ShardWorkerHandle(
-                    items, demand_cfg, total_capacity, managed,
-                    recv_deadline_s=self.recv_deadline_s,
-                    fabric=fabric, persist=True)
-                if w < len(self._handles):
-                    self._handles[w] = handle
-                else:
-                    self._handles.append(handle)
-            out.append(handle)
-        return out
-
-    def close(self) -> None:
-        """Retire every pooled worker (idempotent)."""
-        for handle in self._handles:
-            if handle.proc.is_alive() and handle._done:
-                try:
-                    handle._send(("exit",))
-                    handle.proc.join(timeout=5.0)
-                except ShardWorkerDied:  # pragma: no cover
-                    pass
-            handle.persist = False
-            handle.close()
-        self._handles = []
-
-    def __enter__(self) -> "ShardWorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 class ShardedCoSimulation:
     """Co-simulate one facility as zone shards in macro-period lockstep.
 
@@ -793,7 +418,7 @@ class ShardedCoSimulation:
     workers:
         OS processes.  ``<= 1`` runs every shard in-process — the
         bit-identical reference; larger values deal shards round-robin
-        over ``min(workers, shards)`` persistent pipe workers.
+        over ``min(workers, shards)`` supervised pipe workers.
     sync_period_s:
         Lockstep macro-period between demand redistributions (default
         300 s, the macro-management cadence).
@@ -809,15 +434,6 @@ class ShardedCoSimulation:
         Optional :class:`ShardWorkerPool` to lease worker processes
         from instead of spawning fresh ones (warm reuse across bench
         repeats).  The pool outlives the run; the caller closes it.
-    tracer:
-        Optional :class:`~repro.obs.tracer.Tracer`; the chosen
-        transport is recorded as a ``sharded.transport.<name>``
-        counter.
-
-    After :meth:`run`, :attr:`transport` names the exchange path that
-    ran: ``"local"`` (in-process), ``"shm"`` (shared-memory fabric),
-    or ``"pipe"`` (payloads pickled over the pipe — the fallback when
-    shared memory is unavailable or ``REPRO_NO_SHM=1``).
     """
 
     def __init__(self, spec: DataCenterSpec, demand: dict,
@@ -826,8 +442,7 @@ class ShardedCoSimulation:
                  sync_period_s: float = 300.0,
                  fault_schedule: FaultSchedule | None = None,
                  recv_deadline_s: float = 120.0,
-                 pool: "ShardWorkerPool | None" = None,
-                 tracer=None):
+                 pool: ShardWorkerPool | None = None):
         if sync_period_s <= 0:
             raise ValueError("sync period must be positive")
         if recv_deadline_s <= 0:
@@ -860,9 +475,6 @@ class ShardedCoSimulation:
         self._static_shares = {i: cap / total
                                for i, cap in enumerate(caps)}
         self.pool = pool
-        self.tracer = tracer
-        #: Exchange path of the (last) run: local / shm / pipe.
-        self.transport: str | None = None
         self._ran = False
 
     def _shares(self, caps: dict[int, float]) -> dict[int, float]:
@@ -885,66 +497,47 @@ class ShardedCoSimulation:
         if self._ran:
             raise RuntimeError("a sharded co-simulation runs once")
         self._ran = True
+        jobs = self._jobs()
+        if self.workers <= 1:
+            return self._drive([job.factory(*job.args) for job in jobs],
+                               duration_s)
+        with supervised(jobs, self.recv_deadline_s,
+                        pool=self.pool) as groups:
+            return self._drive(groups, duration_s)
+
+    def _jobs(self) -> list[Job]:
+        """One :class:`_ShardGroup` build per worker (round-robin)."""
         items = [(i, spec, sched) for i, (spec, sched) in enumerate(
             zip(self.shard_specs, self.shard_faults))]
-        fabrics: list[FabricBlock | None] = []
-        if self.workers <= 1:
-            self.transport = "local"
-            groups = [_LocalGroup(items, self.demand,
-                                  self.total_capacity, self.managed)]
-        else:
-            batches = [items[w::self.workers]
-                       for w in range(self.workers)]
-            self.transport = "pipe"
-            if shm_available():
-                try:
-                    fabrics = [FabricBlock.create(
-                        _group_layout(len(items), len(batch)))
-                        for batch in batches]
-                    self.transport = "shm"
-                except OSError:  # pragma: no cover - /dev/shm exhausted
-                    for fabric in fabrics:
-                        fabric.close()
-                    fabrics = []
-            if not fabrics:
-                fabrics = [None] * len(batches)
-            if self.pool is not None:
-                groups = self.pool.lease(batches, self.demand,
-                                         self.total_capacity,
-                                         self.managed, fabrics)
-            else:
-                groups = [_ShardWorkerHandle(
-                    batch, self.demand, self.total_capacity,
-                    self.managed, recv_deadline_s=self.recv_deadline_s,
-                    fabric=fabric)
-                    for batch, fabric in zip(batches, fabrics)]
-        if self.tracer is not None:
-            self.tracer.count(f"sharded.transport.{self.transport}")
-        try:
-            caps: dict[int, float] = {}
-            starts: set[float] = set()
-            for group in groups:
-                for index, start, cap in group.ready():
-                    starts.add(start)
-                    caps[index] = cap
-            if len(starts) != 1:  # pragma: no cover - spec invariant
-                raise RuntimeError(f"shards disagree on start: {starts}")
-            t = start = starts.pop()
-            end = start + duration_s
-            while t < end:
-                t = min(t + self.sync_period_s, end)
-                shares = self._shares(caps)
-                for index, cap in [pair for group in groups
-                                   for pair in group.advance(t, shares)]:
-                    caps[index] = cap
-            finished: dict[int, tuple] = {}
-            for group in groups:
-                finished.update(group.finish())
-            return merge_results([finished[i] for i in sorted(finished)],
-                                 duration_s)
-        finally:
-            for group in groups:
-                group.close()
-            for fabric in fabrics:
-                if fabric is not None:
-                    fabric.close()
+        jobs = []
+        for w in range(self.workers):
+            batch = items[w::self.workers]
+            jobs.append(Job(f"shards {[i for i, _, _ in batch]}",
+                            _ShardGroup, (batch, self.demand,
+                                          self.total_capacity,
+                                          self.managed)))
+        return jobs
+
+    def _drive(self, groups, duration_s: float) -> CoSimResult:
+        """The lockstep loop over :class:`_ShardGroup`\\ s or handles."""
+        caps: dict[int, float] = {}
+        starts: set[float] = set()
+        for group in groups:
+            for index, start, cap in group.ready():
+                starts.add(start)
+                caps[index] = cap
+        if len(starts) != 1:  # pragma: no cover - spec invariant
+            raise RuntimeError(f"shards disagree on start: {starts}")
+        t = start = starts.pop()
+        end = start + duration_s
+        while t < end:
+            t = min(t + self.sync_period_s, end)
+            shares = self._shares(caps)
+            for index, cap in [pair for group in groups
+                               for pair in group.advance(t, shares)]:
+                caps[index] = cap
+        finished: dict[int, tuple] = {}
+        for group in groups:
+            finished.update(group.finish())
+        return merge_results([finished[i] for i in sorted(finished)],
+                             duration_s)

@@ -4,9 +4,13 @@ A federation site is a whole :class:`~repro.datacenter.CoSimulation`
 (optionally cut into in-process zone shards — the site worker is a
 daemon process and cannot spawn grandchildren) that accepts a routed
 demand level each macro period and reports back one compact
-:class:`SiteSummary`.  Everything that crosses the process boundary —
-:class:`SiteConfig` in, :class:`SiteSummary` out — is picklable and
-small; the plant itself never leaves the worker.
+:class:`SiteSummary`.  :class:`SiteRuntime` has the
+``ready()`` / ``advance(until, x)`` / ``finish()`` shape the worker
+supervisor (:mod:`repro.datacenter.workers`) serves: in-process runs
+call it directly, worker runs build it from the picklable
+:class:`SiteConfig` inside the worker.  Only the config goes in and
+one eleven-field summary per period comes out; the plant itself never
+leaves the worker.
 
 The summary's capacity field is the *healthy* capacity (installed
 minus failed servers), the same column the zone-sharded plant
@@ -41,9 +45,7 @@ from repro.datacenter.sharded import (
 )
 from repro.datacenter.spec import DataCenterSpec
 
-__all__ = ["SiteConfig", "SiteSummary", "SiteRuntime",
-           "SUMMARY_LAYOUT", "SUMMARY_SLOTS", "pack_summary",
-           "unpack_summary"]
+__all__ = ["SiteConfig", "SiteSummary", "SiteRuntime"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,44 +104,6 @@ class SiteSummary(typing.NamedTuple):
     #: Offered / shed work (unit-seconds) over the last macro period.
     window_offered: float
     window_shed: float
-
-
-#: Float64 slots a summary occupies in a shared-memory lane: every
-#: field except ``site`` (the supervisor knows which site it polls).
-SUMMARY_SLOTS = 10
-
-#: Fabric layout for one site worker's telemetry lane.
-SUMMARY_LAYOUT = (("summary", SUMMARY_SLOTS),)
-
-
-def pack_summary(summary: SiteSummary) -> list[float]:
-    """Encode a summary as float64s for the shared-memory lane.
-
-    Bools and counts round-trip exactly (they are small integers);
-    the float fields are already float64, so the shm transport is
-    bit-identical to pickling the tuple — NaN PUE included.
-    """
-    return [summary.time_s, summary.installed_capacity,
-            summary.healthy_capacity, summary.awake_capacity,
-            1.0 if summary.on_battery else 0.0,
-            float(summary.active_incidents),
-            float(summary.failed_servers), summary.window_pue,
-            summary.window_offered, summary.window_shed]
-
-
-def unpack_summary(site: str, vec) -> SiteSummary:
-    """Decode :func:`pack_summary`'s lane payload back to a summary."""
-    return SiteSummary(
-        site=site, time_s=float(vec[0]),
-        installed_capacity=float(vec[1]),
-        healthy_capacity=float(vec[2]),
-        awake_capacity=float(vec[3]),
-        on_battery=bool(vec[4] != 0.0),
-        active_incidents=int(vec[5]),
-        failed_servers=int(vec[6]),
-        window_pue=float(vec[7]),
-        window_offered=float(vec[8]),
-        window_shed=float(vec[9]))
 
 
 class _Plant:
@@ -299,57 +263,3 @@ class SiteRuntime:
         offered = sum(f[1] for f in finished)
         shed = sum(f[2] for f in finished)
         return merged, offered, shed
-
-
-def _site_worker(conn, cfg: SiteConfig, shm_name: str | None = None) -> None:
-    """Persistent pipe server: one :class:`SiteRuntime` per process.
-
-    Same protocol shape as the zone-sharded plant's worker; the
-    federation supervisor drives it through the shared
-    :func:`~repro.datacenter.sharded.poll_recv` helper and replays the
-    message log into a fresh worker after a crash.
-
-    With ``shm_name``, each period's :class:`SiteSummary` is published
-    to that fabric block's ``summary`` lane at the macro-period epoch
-    and the pipe ``ok`` carries ``None``.  The parent→worker direction
-    (the ``advance`` messages) deliberately stays on the pipe: that
-    stream *is* the supervisor's replay log, and a respawned worker
-    must be able to consume it with nothing but its config — epochs
-    restart from 1 on each spawn, so the replayed periods rewrite the
-    same lane slots deterministically.
-    """
-    block = None
-    try:
-        runtime = SiteRuntime(cfg)
-        lane = None
-        if shm_name is not None:
-            from repro.datacenter.shm import FabricBlock
-            block = FabricBlock.attach(shm_name, SUMMARY_LAYOUT)
-            lane = block.lane("summary")
-        conn.send(("ready", runtime.ready()))
-        period = 0
-        while True:
-            msg = conn.recv()
-            if msg[0] == "advance":
-                period += 1
-                summary = runtime.advance(msg[1], msg[2])
-                if lane is not None:
-                    lane.write(period, pack_summary(summary))
-                    conn.send(("ok", None))
-                else:
-                    conn.send(("ok", summary))
-            elif msg[0] == "finish":
-                conn.send(("result", runtime.finish()))
-                return
-            else:  # pragma: no cover - protocol guard
-                raise RuntimeError(f"unknown message {msg[0]!r}")
-    except BaseException as exc:  # noqa: BLE001 - reported to parent
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (BrokenPipeError, OSError):  # pragma: no cover
-            pass
-        raise
-    finally:
-        if block is not None:
-            block.close()
-        conn.close()

@@ -26,7 +26,7 @@ __all__ = ["SCHEMA_VERSION", "bench_spec", "run_scale_bench",
 #: row's shape changes so archived CI artifacts stay comparable; the
 #: regression gate reads rows with ``.get()`` and tolerates both
 #: stamped and unstamped rows.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def bench_spec(servers: int, backend: str = "object"):
@@ -68,7 +68,6 @@ def _run_scale_once(servers: int, backend: str, hours: float,
         sim = CoSimulation(spec, lambda t: demand, managed=True)
     result = sim.run(hours * 3600.0)
     wall_s = time.perf_counter() - start
-    transport = sim.transport if shards else "local"
     metrics = {
         "servers": spec.total_servers,
         "backend": backend,
@@ -80,7 +79,6 @@ def _run_scale_once(servers: int, backend: str, hours: float,
         "served_fraction": result.sla.served_fraction,
         "thermal_alarms": result.thermal_alarms,
         "mean_active_servers": result.mean_active_servers,
-        "transport": transport,
     }
     if shards:
         metrics["shards"] = shards
@@ -289,7 +287,6 @@ def run_federation_bench(days: float = 1.0, n_sites: int = 5,
             "days": days,
             "policy": policy,
             "workers": workers,
-            "transport": fed.transport,
             "wall_s": wall_s,
             "sim_seconds_per_wall_second": days * 86_400.0 / wall_s,
             "served_fraction": result.served_fraction,
@@ -310,10 +307,7 @@ def run_federation_bench(days: float = 1.0, n_sites: int = 5,
 
 def format_federation_report(metrics: typing.Mapping) -> str:
     """Human-readable one-run summary of a federation bench."""
-    workers_part = (f", workers/{metrics['transport']}"
-                    if metrics.get("workers")
-                    and metrics.get("transport") else
-                    ", workers" if metrics.get("workers") else "")
+    workers_part = ", workers" if metrics.get("workers") else ""
     return (f"{metrics['sites']} sites / {metrics['servers']:,} "
             f"servers ({metrics['policy']}{workers_part}): "
             f"{metrics['days']:.0f} d simulated in "
@@ -331,8 +325,6 @@ def format_report(metrics: typing.Mapping) -> str:
     if metrics.get("shards"):
         layout += (f", {metrics['shards']} shards / "
                    f"{metrics['shard_workers']} workers")
-        if metrics.get("transport"):
-            layout += f", {metrics['transport']}"
     return (f"{metrics['servers']:,} servers ({layout}): "
             f"{metrics['hours']:.0f} h simulated in "
             f"{metrics['wall_s']:.2f} s wall "

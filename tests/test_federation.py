@@ -12,7 +12,9 @@ Three contracts under test:
   the uninterrupted run bit for bit.
 """
 
+import dataclasses
 import math
+import multiprocessing
 import random
 
 import pytest
@@ -350,23 +352,50 @@ class TestFederatedCoSimulation:
         assert fed.recoveries["dc1"] == 1
         assert killed == ref
 
+    def test_chaos_kill_replays(self):
+        # Two kills in one run: dc0 before its first advance (the
+        # replay is the build message alone) and dc1 mid-run.
+        ref = _federation(outage=False, n=2).run(2 * 3600.0)
+        fed = _federation(outage=False, n=2, workers=True,
+                          chaos_kill={"dc0": 0, "dc1": 3})
+        assert fed.run(2 * 3600.0) == ref
+        assert fed.recoveries == {"dc0": 1, "dc1": 1}
+
     def test_restart_budget_exhaustion_raises(self):
         import os
         import signal
 
-        from repro.federation.federation import _SiteHandle
+        from repro.datacenter.workers import Job, WorkerHandle
 
-        handle = _SiteHandle(SiteConfig(name="s", spec=_spec("s")),
-                             recv_deadline_s=30.0, max_restarts=0)
+        cfg = SiteConfig(name="s", spec=_spec("s"))
+        handle = WorkerHandle(Job("site 's'", SiteRuntime, (cfg,)),
+                              recv_deadline_s=30.0, max_restarts=0)
         try:
+            t0 = handle.ready().time_s
             os.kill(handle.pid, signal.SIGKILL)
             handle.proc.join(timeout=10.0)
-            t0 = handle.ready_summary.time_s
             with pytest.raises(ShardWorkerDied) as err:
-                handle.request(("advance", t0 + PERIOD, 100.0))
+                handle.advance(t0 + PERIOD, 100.0)
             assert "exceeded 0 restarts" in str(err.value)
+            assert "site 's', last completed period 0" in str(err.value)
         finally:
             handle.close()
+
+    def test_failed_build_leaves_no_workers(self):
+        """A site that fails to build must not strand the workers
+        already started for the sites before it."""
+        before = {p.pid for p in multiprocessing.active_children()}
+        fed = _federation(outage=False, n=2, workers=True)
+        cfg = fed.sites[1].config
+        fed.sites[1] = FederationSite(
+            config=dataclasses.replace(
+                cfg, fault_schedule=FaultSchedule(),
+                fault_engine_kwargs={"bogus": 1}),
+            meta=fed.sites[1].meta)
+        with pytest.raises(RuntimeError, match="dc1.*bogus"):
+            fed.run(3600.0)
+        after = {p.pid for p in multiprocessing.active_children()}
+        assert after <= before
 
     def test_sharded_site_inside_federation(self):
         """A zone-sharded site (in-process shards inside the site

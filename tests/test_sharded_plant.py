@@ -3,10 +3,15 @@
 The determinism contract under test is the one ``perf.sweep``
 established for pools: the in-process path (``workers=1``) is the
 reference, and the multi-process path must reproduce it bit for bit —
-parallelism may only change wall time.
+parallelism, warm pool reuse and a SIGKILLed worker may only change
+wall time.
 """
 
 import dataclasses
+import multiprocessing
+import os
+import random
+import signal
 
 import pytest
 
@@ -14,6 +19,7 @@ from repro.datacenter import (
     CoSimulation,
     DataCenterSpec,
     ShardedCoSimulation,
+    ShardWorkerPool,
     partition_spec,
 )
 
@@ -201,34 +207,116 @@ class TestPollRecv:
             child.close()
 
     def test_killed_worker_names_shard_and_period(self):
-        """A SIGKILLed shard worker surfaces as ShardWorkerDied with
-        the shard ids and last completed macro period in the message —
-        never as a parent blocked forever in recv()."""
+        """A SIGKILLed shard worker with no restart budget left surfaces
+        as ShardWorkerDied with the shard ids and last completed macro
+        period in the message — never as a parent blocked forever in
+        recv()."""
         import os
         import signal
 
         from repro.datacenter import ShardWorkerDied
-        from repro.datacenter.sharded import _ShardWorkerHandle
+        from repro.datacenter.workers import WorkerHandle
 
-        spec = _spec()
-        parts = partition_spec(spec, 2)
-        items = [(i, part, None) for i, part in enumerate(parts)]
-        handle = _ShardWorkerHandle(
-            items, DEMAND, spec.total_servers * spec.server_capacity,
-            True, recv_deadline_s=30.0)
+        sim = ShardedCoSimulation(_spec(), DEMAND, shards=2, workers=1)
+        (job,) = sim._jobs()
+        handle = WorkerHandle(job, recv_deadline_s=30.0, max_restarts=0)
         try:
             ready = handle.ready()
             start = ready[0][1]
             handle.advance(start + 300.0,
                            {0: 0.5, 1: 0.5})
-            os.kill(handle.proc.pid, signal.SIGKILL)
+            os.kill(handle.pid, signal.SIGKILL)
             handle.proc.join(timeout=10.0)
             with pytest.raises(ShardWorkerDied) as err:
                 handle.advance(start + 600.0, {0: 0.5, 1: 0.5})
             assert "shards [0, 1]" in str(err.value)
             assert "period 1" in str(err.value)
+            assert "exceeded 0 restarts" in str(err.value)
         finally:
             handle.close()
+        assert not handle.proc.is_alive()
+
+
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+class _KillAt:
+    """A leased handle that SIGKILLs its worker before one period."""
+
+    def __init__(self, handle, period: int):
+        self._handle = handle
+        self._period = period
+
+    def advance(self, until, shares):
+        if self._handle.completed_periods == self._period:
+            os.kill(self._handle.pid, signal.SIGKILL)
+            self._handle.proc.join(timeout=10.0)
+        return self._handle.advance(until, shares)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+class TestShardWorkers:
+    """Worker supervision: crash replay, pool reuse, cleanup."""
+
+    def test_sigkill_at_random_period_replays_bit_identically(self):
+        """SIGKILL a shard worker at a random macro period: the
+        supervisor respawns it and replays its log (build + every
+        advance), so the run still equals ``workers=1`` — and leaves
+        no worker process behind."""
+        spec = _spec()
+        duration = 2 * 3600.0
+        victim = random.Random(2024).randrange(1, int(duration / 300.0))
+        ref = ShardedCoSimulation(spec, DEMAND, shards=4,
+                                  workers=1).run(duration)
+        before = _worker_pids()
+
+        class KillingPool(ShardWorkerPool):
+            def lease(self, jobs):
+                handles = super().lease(jobs)
+                handles[1] = _KillAt(handles[1], victim)
+                return handles
+
+        with KillingPool(2) as pool:
+            killed = ShardedCoSimulation(spec, DEMAND, shards=4,
+                                         workers=2, pool=pool)
+            assert killed.run(duration) == ref
+            assert [h.restarts for h in pool._handles] == [0, 1]
+        assert _worker_pids() <= before
+
+    def test_pool_reuse_is_deterministic(self):
+        # Warm reuse: the second run rebuilds on the same worker
+        # processes and still reproduces the fresh-worker result.
+        spec = _spec()
+        ref = ShardedCoSimulation(spec, DEMAND, shards=2,
+                                  workers=2).run(3600.0)
+        with ShardWorkerPool(2) as pool:
+            first = ShardedCoSimulation(spec, DEMAND, shards=2,
+                                        workers=2, pool=pool)
+            assert first.run(3600.0) == ref
+            pids = [h.pid for h in pool._handles]
+            second = ShardedCoSimulation(spec, DEMAND, shards=2,
+                                         workers=2, pool=pool)
+            assert second.run(3600.0) == ref
+            assert [h.pid for h in pool._handles] == pids
+            assert all(h.proc.is_alive() for h in pool._handles)
+        assert not any(pid in _worker_pids() for pid in pids)
+
+    def test_interrupted_run_leaves_no_workers(self, monkeypatch):
+        # KeyboardInterrupt mid-run reaches the supervisor's cleanup
+        # scope, which terminates every worker it started.
+        before = _worker_pids()
+
+        def interrupt(self, caps):
+            raise KeyboardInterrupt
+
+        sim = ShardedCoSimulation(_spec(), DEMAND, shards=2, workers=2)
+        monkeypatch.setattr(ShardedCoSimulation, "_shares", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            sim.run(3600.0)
+        assert _worker_pids() <= before
 
 
 class TestShardedFaults:
