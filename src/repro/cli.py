@@ -175,8 +175,8 @@ def _bench(args: argparse.Namespace) -> int:
         label = f"{n // 1000}k" if n % 1000 == 0 else str(n)
         name = f"PERF: {label}-server consolidation pass"
     else:
-        metrics = run_scale_bench(args.servers, backend=args.backend,
-                                  hours=args.hours, shards=args.shards,
+        metrics = run_scale_bench(args.servers, hours=args.hours,
+                                  shards=args.shards,
                                   shard_workers=args.shard_workers,
                                   repeat=args.repeat,
                                   warmup=args.warmup)
@@ -244,7 +244,7 @@ def _serve(args: argparse.Namespace) -> int:
     zones = min(4, args.racks)
     scenario = ServeScenario(
         racks=args.racks, servers_per_rack=args.servers_per_rack,
-        zones=zones, cracs=min(2, zones), backend=args.backend,
+        zones=zones, cracs=min(2, zones),
         seed=args.seed, tick_s=args.tick,
         initial_work_fraction=args.initial_fraction,
         budget_fraction=args.budget_fraction)
@@ -276,8 +276,7 @@ def _connect(args: argparse.Namespace) -> int:
     try:
         scenario = ServeScenario.from_dict(client.welcome.scenario)
         print(f"connected: tick_s={client.welcome.tick_s:g} "
-              f"servers={scenario.racks * scenario.servers_per_rack} "
-              f"backend={scenario.backend}")
+              f"servers={scenario.racks * scenario.servers_per_rack}")
         ok = True
         if args.sessions:
             script, ticks = session_script(scenario, args.sessions,
@@ -398,9 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: day)")
     bench.add_argument("--servers", type=int, default=2_000,
                        help="fleet size (multiple of 20 for 'day')")
-    bench.add_argument("--backend", choices=("object", "vector"),
-                       default="vector",
-                       help="plant storage layout (default: vector)")
     bench.add_argument("--hours", type=float, default=24.0,
                        help="simulated hours ('day' scenario)")
     bench.add_argument("--gamma", type=int, default=2,
@@ -442,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve on a Unix socket instead of TCP")
     serve.add_argument("--racks", type=int, default=4)
     serve.add_argument("--servers-per-rack", type=int, default=20)
-    serve.add_argument("--backend", choices=("object", "vector"),
-                       default="object")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--tick", type=float, default=60.0,
                        help="tick size in simulated seconds; mutations "

@@ -9,7 +9,7 @@ dominated wall time.
 
 :class:`FleetAggregate` inverts the flow: each :class:`~repro.cluster
 .server.Server` *pushes* deltas into the aggregates watching it
-(registered via ``Server._watchers``) at the moment it changes, so a
+(registered via ``Server.add_watcher``) at the moment it changes, so a
 tick only pays for the servers that actually changed.
 
 Invariants
@@ -75,7 +75,7 @@ class FleetAggregate:
         power = 0.0
         count = 0
         for server in self.servers:
-            server._watchers.append(self)
+            server.add_watcher(self)
             power += server._power_w
             count += server._state is ServerState.ACTIVE
         self._power_w = power
@@ -176,9 +176,9 @@ class FleetAggregate:
                 "roster_repaired": roster_repaired}
 
     def batcher(self):
-        """Bulk-mutation interface, or ``None`` (the object path has
-        none; the vector backend overrides this when its wiring makes
-        batch updates exact)."""
+        """Bulk-mutation interface, or ``None`` (plain pools have none;
+        ``VectorAggregate`` overrides this when its wiring makes batch
+        updates exact)."""
         return None
 
     def __repr__(self) -> str:

@@ -84,7 +84,7 @@ class _ServingRoster:
     dispatch reads the index.
     """
 
-    #: Safe alongside the vector backend's batch kernels: the roster
+    #: Safe alongside the vector fleet's batch kernels: the roster
     #: only reacts to state transitions, which batches never perform.
     vector_batch_safe = True
 
@@ -170,7 +170,7 @@ class RequestFarm:
             i for i, s in enumerate(self.servers) if s.is_serving)
         roster = _ServingRoster(self)
         for server in self.servers:
-            server._watchers.append(roster)
+            server.add_watcher(roster)
 
     # ------------------------------------------------------------------
     def _pick_queue(self) -> _ServerQueue:

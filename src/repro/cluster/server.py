@@ -102,6 +102,15 @@ class Server:
         self._eff_cap = 0.0      # cache; refreshed by _record_power
         self._record_power()
 
+    def add_watcher(self, watcher) -> None:
+        """Register an observer of state transitions and power deltas.
+
+        ``watcher`` needs ``state_changed(server, old, new)`` and
+        ``power_changed(server, delta)``.  There is no detach: watchers
+        live as long as the simulation.
+        """
+        self._watchers.append(watcher)
+
     def _make_power_monitor(self) -> Monitor:
         """Build the power sample sink (subclasses may swap it out)."""
         return Monitor(self.env, f"{self.name}.power_w")

@@ -67,7 +67,7 @@ def _activate_one(farm: ServerFarm) -> bool:
         return started
     picker = getattr(farm.fleet, "pick_startable", None)
     if picker is not None:
-        # Vector backend: the same first-SLEEPING-else-first-OFF pool
+        # Vector fleet: the same first-SLEEPING-else-first-OFF pool
         # scan, done on the state-code column.
         server = picker(quarantined)
         if server is None:

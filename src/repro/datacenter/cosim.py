@@ -104,15 +104,14 @@ class CoSimulation:
         self.physical_step_s = float(physical_step_s)
         self.sla = sla or SLA("cosim")
 
-        # Bring up the initial fleet synchronously.  A vector fleet
-        # takes the fused boot storm (one timer, column updates,
-        # bit-identical to per-server power_on); anything else walks
-        # the scalar path.
+        # Bring up the initial fleet synchronously in one fused boot
+        # storm (one timer, column updates, bit-identical to
+        # per-server power_on); the scalar walk covers anything the
+        # storm's preconditions refuse.
         n_start = (spec.total_servers if initial_active is None
                    else initial_active)
         booting = self.dc.servers[:n_start]
-        fleet = getattr(booting[0], "_fleet", None) if booting else None
-        if fleet is None or fleet.boot_many(booting) is None:
+        if booting and booting[0]._fleet.boot_many(booting) is None:
             for server in booting:
                 server.power_on()
         self.env.run(until=spec.boot_s + 1.0)

@@ -13,14 +13,14 @@ import dataclasses
 
 import numpy as np
 
-from repro.cluster.rack import Cluster, Rack
-from repro.cluster.server import Server
+from repro.cluster.rack import Rack
 from repro.cooling.crac import CRACUnit
 from repro.cooling.economizer import AirSideEconomizer
 from repro.cooling.room import MachineRoom
 from repro.cooling.weather import SEATTLE_LIKE, WeatherModel
 from repro.cooling.zone import ThermalZone
 from repro.datacenter.tiers import Tier, TIER_SPECS, TierSpec
+from repro.fleet import VectorCluster, VectorFleet, VectorServer
 from repro.power.distribution import (
     CapacityExceeded,
     PDU_EFFICIENCY,
@@ -47,9 +47,9 @@ class DataCenterSpec:
     server_peak_w: float = 300.0
     server_idle_fraction: float = 0.6
     #: Exponent ``r`` of the Fan-et-al. calibrated power curve
-    #: (1.0 = linear).  The vector backend evaluates non-linear models
-    #: through its grouped libm-pow kernel — still batched, still
-    #: bit-identical to the scalar model.
+    #: (1.0 = linear).  The fleet evaluates non-linear models through
+    #: its grouped libm-pow kernel — still batched, still bit-identical
+    #: to the scalar ``ServerPowerModel``.
     server_nonlinearity: float = 1.0
     server_capacity: float = 100.0
     boot_s: float = 120.0
@@ -63,16 +63,8 @@ class DataCenterSpec:
     #: pure chilled-water plant; needs a weather model.
     economizer: bool = False
     weather: WeatherModel | None = None
-    #: Plant storage layout.  ``"object"`` (default) keeps one Python
-    #: ``Server`` per machine; ``"vector"`` backs the fleet with the
-    #: structure-of-arrays :mod:`repro.fleet` plant — bit-identical
-    #: results, built for 10⁴–10⁵-server co-simulations.
-    backend: str = "object"
 
     def __post_init__(self):
-        if self.backend not in ("object", "vector"):
-            raise ValueError(
-                f"backend must be 'object' or 'vector', got {self.backend!r}")
         if self.racks < 1 or self.servers_per_rack < 1:
             raise ValueError("need at least one rack and one server")
         if self.zones < 1 or self.cracs < 1:
@@ -94,41 +86,24 @@ class DataCenterSpec:
                                  nonlinearity=self.server_nonlinearity)
 
         # --- compute: servers -> zoned racks -> cluster --------------
-        fleet = None
-        if self.backend == "vector":
-            from repro.fleet import VectorCluster, VectorFleet
-            fleet = VectorFleet(env, self.total_servers)
+        # One shared model: every server is identical anyway, so they
+        # all land in a single model group (the fused single-pass batch
+        # kernel) and each rack is one bulk row claim.
+        fleet = VectorFleet(env, self.total_servers)
         racks = []
-        servers: list[Server] = []
+        servers: list[VectorServer] = []
         for r in range(self.racks):
-            zone_name = f"zone-{r % self.zones}"
-            if fleet is not None:
-                # One shared model: every server is identical anyway,
-                # so they all land in a single model group (the fused
-                # single-pass batch kernel) and the whole rack is one
-                # bulk row claim.
-                rack_servers = fleet.build_servers(
-                    env,
-                    [f"{self.name}-r{r}-s{s}"
-                     for s in range(self.servers_per_rack)],
-                    power_model=model,
-                    capacity=self.server_capacity,
-                    boot_s=self.boot_s, wake_s=self.wake_s)
-            else:
-                rack_servers = [
-                    Server(env, f"{self.name}-r{r}-s{s}",
-                           power_model=ServerPowerModel(
-                               peak_w=self.server_peak_w,
-                               idle_fraction=self.server_idle_fraction,
-                               nonlinearity=self.server_nonlinearity),
-                           capacity=self.server_capacity,
-                           boot_s=self.boot_s, wake_s=self.wake_s)
-                    for s in range(self.servers_per_rack)]
+            rack_servers = fleet.build_servers(
+                env,
+                [f"{self.name}-r{r}-s{s}"
+                 for s in range(self.servers_per_rack)],
+                power_model=model,
+                capacity=self.server_capacity,
+                boot_s=self.boot_s, wake_s=self.wake_s)
             servers.extend(rack_servers)
             racks.append(Rack(f"{self.name}-rack{r}", rack_servers,
-                              zone=zone_name))
-        cluster = (VectorCluster(self.name, racks) if fleet is not None
-                   else Cluster(self.name, racks))
+                              zone=f"zone-{r % self.zones}"))
+        cluster = VectorCluster(self.name, racks)
 
         # --- power: tree + UPS sized by tier --------------------------
         rack_peak_w = self.servers_per_rack * self.server_peak_w
@@ -187,7 +162,7 @@ class DataCenter:
     env: Environment
     spec: DataCenterSpec
     tier_spec: TierSpec
-    cluster: Cluster
+    cluster: VectorCluster
     servers: list
     power_tree: PowerNode
     rack_nodes: dict
@@ -263,8 +238,7 @@ class DataCenter:
         fast = self._tree_fast_path()
         if fast is not None:
             ups_node, pdu, leaves, leaf_dicts = fast
-            arr_fn = getattr(self.cluster, "rack_powers_array", None)
-            demands_arr = arr_fn() if arr_fn is not None else None
+            demands_arr = self.cluster.rack_powers_array()
             demands = (demands_arr.tolist() if demands_arr is not None
                        else self.cluster.rack_powers())
             # One fused pass: leaf input == leaf demand (identity

@@ -1,9 +1,10 @@
 """Structure-of-arrays vector plant for fleet-scale co-simulation.
 
-Select it with ``DataCenterSpec(backend="vector")``: servers become
+Every facility ``DataCenterSpec.build`` makes runs on it: servers are
 thin views over preallocated numpy columns, aggregates fold deltas in
-bulk, and the cluster heat map is one ``bincount`` — with object-path
-bit-equivalence guaranteed (see ``plant`` module docstring).
+bulk, and the cluster heat map is one ``bincount`` — each batch kernel
+bit-identical to the scalar ``Server`` arithmetic it replaces (see the
+``plant`` module docstring).
 """
 
 from repro.fleet.aggregates import VectorAggregate, VectorRackAggregate

@@ -88,8 +88,8 @@ class VectorAggregate(FleetAggregate):
     def active_servers(self) -> list:
         roster = self._active_cache
         if roster is None:
-            roster = self._active_cache = self._fleet.objs[
-                self.active_indices()].tolist()
+            roster = self._active_cache = self._fleet.gather(
+                self.active_indices())
         return roster
 
     def recompute_exact(self) -> float:
@@ -108,7 +108,7 @@ class VectorAggregate(FleetAggregate):
         roster_repaired = False
         if self._active_cache is not None:
             fresh_idx = np.flatnonzero(fleet.state_code == C_ACTIVE)
-            fresh = fleet.objs[fresh_idx].tolist()
+            fresh = fleet.gather(fresh_idx)
             roster_repaired = fresh != self._active_cache
             self._active_cache = fresh
             self._active_idx = fresh_idx
@@ -129,7 +129,7 @@ class VectorAggregate(FleetAggregate):
         if ok:
             racks = fleet.rack_aggs
             slots = fleet.rack_slot
-            for i, server in enumerate(fleet.objs.tolist()):
+            for i, server in enumerate(fleet.objs):
                 slot = slots[i]
                 watchers = server._watchers
                 if (slot < 0 or len(watchers) < 2
@@ -156,16 +156,8 @@ class VectorAggregate(FleetAggregate):
         return ok
 
     def batcher(self) -> "VectorAggregate | None":
-        """This aggregate when batch mutation is exact, else ``None``.
-
-        Traced runs count the vector-vs-scalar split so a RunReport
-        can show how often the batch gate actually opened.
-        """
-        ok = self._wiring_valid()
-        tracer = self._fleet.env.tracer
-        if tracer is not None:
-            tracer.count("fleet.batch" if ok else "fleet.scalar_fallback")
-        return self if ok else None
+        """This aggregate when batch mutation is exact, else ``None``."""
+        return self if self._wiring_valid() else None
 
     # ------------------------------------------------------------------
     # Batch mutators (callers hold a validated batcher)

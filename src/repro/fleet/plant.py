@@ -1,14 +1,14 @@
 """Structure-of-arrays vector plant: the fleet as numpy columns.
 
-The object backend keeps one Python :class:`~repro.cluster.server
-.Server` per machine, which caps co-simulations around a few thousand
-servers — every dispatch tick walks Python objects.  The vector plant
-inverts the layout: all per-server *hot* state (lifecycle code,
-P-/T-state, offered load, capacity, wall power, cap, zone id, rack
-slot, energy) lives in preallocated numpy arrays owned by a
-:class:`VectorFleet`, and :class:`VectorServer` is a thin **view**
-whose hot attributes are class-level properties redirecting into those
-columns.
+A plain :class:`~repro.cluster.server.Server` per machine caps
+co-simulations around a few thousand servers — every dispatch tick
+walks Python objects.  The vector plant, which every facility that
+``DataCenterSpec.build`` makes runs on, inverts the layout: all
+per-server *hot* state (lifecycle code, P-/T-state, offered load,
+capacity, wall power, cap, zone id, rack slot, energy) lives in
+preallocated numpy arrays owned by a :class:`VectorFleet`, and
+:class:`VectorServer` is a thin **view** whose hot attributes are
+class-level properties redirecting into those columns.
 
 Because the views redirect *storage only*, every inherited scalar code
 path (state machine, capping search, power funnel) runs unchanged and
@@ -16,8 +16,7 @@ bit-identically; the batch entry points in
 :mod:`repro.fleet.aggregates` replace whole loops with array passes
 that replay the exact same IEEE operation sequence (left folds via
 ``np.cumsum``, elementwise min/clip, sequential ``np.bincount``).  The
-equivalence guarantee — identical energies, rosters and RNG streams
-between backends — is enforced by the backend-equivalence test suite.
+vector-fleet tests pin each kernel against plain ``Server`` twins.
 
 Power models are organised into *model groups*: every distinct
 (P/T-state table contents, nonlinearity) pair installed on the fleet
@@ -55,46 +54,6 @@ C_SLEEPING = _STATE_TO_CODE[ServerState.SLEEPING]
 C_WAKING = _STATE_TO_CODE[ServerState.WAKING]
 
 
-class _WatcherList(list):
-    """A server's watcher list that notifies the fleet on rewiring.
-
-    Batch mutation is only exact when every server's watchers are the
-    canonical ``[rack aggregate, farm aggregate, *batch-safe extras]``
-    wiring.  Any structural change bumps the fleet's wiring epoch so
-    cached validation is redone before the next batch.
-    """
-
-    __slots__ = ("_fleet",)
-
-    def __init__(self, items: typing.Iterable, fleet: "VectorFleet"):
-        super().__init__(items)
-        self._fleet = fleet
-        fleet._wiring_epoch += 1
-
-    def _bump(self) -> None:
-        self._fleet._wiring_epoch += 1
-
-    def append(self, item):  # noqa: D102 - list API
-        super().append(item)
-        self._bump()
-
-    def extend(self, items):  # noqa: D102 - list API
-        super().extend(items)
-        self._bump()
-
-    def insert(self, index, item):  # noqa: D102 - list API
-        super().insert(index, item)
-        self._bump()
-
-    def remove(self, item):  # noqa: D102 - list API
-        super().remove(item)
-        self._bump()
-
-    def clear(self):  # noqa: D102 - list API
-        super().clear()
-        self._bump()
-
-
 def _pow_elements(x: np.ndarray, r: float) -> np.ndarray:
     """Element-wise ``x ** r`` via libm — bit-identical to Python pow.
 
@@ -129,8 +88,8 @@ class _ModelGroup:
 class EnergyMeter:
     """Constant-memory stand-in for a server's power :class:`Monitor`.
 
-    The object backend keeps a full ``(time, value)`` history per
-    server; at 20k+ servers that is hundreds of MB nobody reads — the
+    A plain :class:`Server`'s Monitor keeps a full ``(time, value)``
+    history; at 20k+ servers that is hundreds of MB nobody reads — the
     headline results only ever need ∫P dt.  The meter folds each held
     power segment into a running joule total at the moment the segment
     closes (exactly the step interpretation the Monitor integrates
@@ -175,12 +134,13 @@ class EnergyMeter:
 
         Only full-range queries are answered — the meter keeps no
         history, which is the point.  Windowed per-server energy needs
-        the object backend.
+        a plain :class:`Server`, whose power Monitor keeps one.
         """
         if start is not None and start > self._t0:
             raise ValueError(
-                "EnergyMeter keeps no history; windowed integrals need "
-                "the object backend (a per-server Monitor)")
+                "EnergyMeter keeps no history: ask for the full-range "
+                "integral (start=None), or use a plain Server, whose "
+                "power Monitor answers windowed integrals")
         fleet = self._fleet
         i = self._idx
         t = fleet.env.now if end is None else float(end)
@@ -226,10 +186,13 @@ class VectorFleet:
         self.tstate = np.zeros(n, dtype=np.int16)
         self.zone_id = np.full(n, -1, dtype=np.int32)
         self.rack_slot = np.full(n, -1, dtype=np.int32)
-        self.objs = np.empty(n, dtype=object)
+        #: Row -> server view.  A plain list, not an object array: the
+        #: cycle collector cannot see through numpy object arrays, so
+        #: the view -> fleet -> view cycle would never be freed.
+        self.objs: list = [None] * n
         self.zone_names: list[str] = []
         self._zone_ids: dict[str, int] = {}
-        #: Bumped whenever any server's watcher list changes shape;
+        #: Bumped by ``VectorServer.add_watcher`` and rack registration;
         #: aggregates re-validate batch wiring when it moves.
         self._wiring_epoch = 0
         #: Bumped whenever a dispatch-relevant column changes —
@@ -341,7 +304,7 @@ class VectorFleet:
             d["power_monitor"] = EnergyMeter(self, idx,
                                              name=f"{name}.power_w")
             d["state_log"] = [(now, off_state)]
-            d["_watchers"] = _WatcherList((), self)
+            d["_watchers"] = []
             objs[idx] = srv
             append(srv)
         self.n_claimed = i0 + count
@@ -647,6 +610,11 @@ class VectorFleet:
     # ------------------------------------------------------------------
     # Read-only fleet scans (exact regardless of wiring)
     # ------------------------------------------------------------------
+    def gather(self, rows: np.ndarray) -> list:
+        """The server views at ``rows``, in row order."""
+        objs = self.objs
+        return [objs[i] for i in rows.tolist()]
+
     def committed_count(self) -> int:
         """Servers committed to serving: ACTIVE | BOOTING | WAKING."""
         code = self.state_code
@@ -670,7 +638,7 @@ class VectorFleet:
                 mask &= eligible
             hits = np.flatnonzero(mask)
             if hits.size:
-                return self.objs[hits[0]]
+                return self.objs[int(hits[0])]
         return None
 
     def pick_startable_many(self, quarantined, count: int) -> list:
@@ -695,7 +663,7 @@ class VectorFleet:
             if eligible is not None:
                 mask &= eligible
             hits = np.flatnonzero(mask)[:count - len(picked)]
-            picked.extend(self.objs[hits].tolist())
+            picked.extend(self.gather(hits))
             if len(picked) >= count:
                 break
         return picked
@@ -704,14 +672,9 @@ class VectorFleet:
         """Uncapped fleet demand (the capper input), or ``None`` when
         the fleet has unclaimed rows (callers fall back to the scalar
         fold).  Mixed tables and non-linear models evaluate through
-        the grouped kernel — no scalar fallback."""
-        tracer = self.env.tracer
+        the grouped kernel."""
         if self.n_claimed != self.n:
-            if tracer is not None:
-                tracer.count("fleet.demand_scalar_fallback")
             return None
-        if tracer is not None:
-            tracer.count("fleet.demand_vector")
         code = self.state_code
         demand = self.off_w.copy()          # OFF and FAILED rows
         mask = (code == C_BOOTING) | (code == C_WAKING)
@@ -832,7 +795,7 @@ class VectorFleet:
             # protective fail) keeps its new state.
             still = fleet.state_code[rows] == C_BOOTING
             brows = rows[still]
-            objs = fleet.objs[brows]
+            objs = fleet.gather(brows)
             rewired = any(
                 len(s._watchers) != 1
                 or s._watchers[0] is not rack_aggs[rack_slot[s._idx]]
@@ -943,8 +906,12 @@ class VectorServer(Server):
         self._idx = fleet._claim(self)
         super().__init__(env, name, **kwargs)
         fleet._install_model(self._idx, self.model)
-        # Wrap the watcher list so rewiring invalidates batch caches.
-        self._watchers = _WatcherList(self._watchers, fleet)
+
+    def add_watcher(self, watcher) -> None:
+        """Register ``watcher`` and make the fleet re-validate its
+        batch wiring (see ``VectorAggregate._wiring_valid``)."""
+        super().add_watcher(watcher)
+        self._fleet._wiring_epoch += 1
 
     def _make_power_monitor(self):
         return EnergyMeter(self._fleet, self._idx,

@@ -1,6 +1,6 @@
 """Scale benchmark: wall-time of an N-server managed day.
 
-``python -m repro bench --servers 20000 --backend vector`` is the
+``python -m repro bench --servers 20000`` is the
 operational answer to "how big a facility can this library
 co-simulate?"  The runner derives a balanced facility shape from the
 requested server count (20 servers per rack, one zone per ~50 racks,
@@ -26,10 +26,10 @@ __all__ = ["SCHEMA_VERSION", "bench_spec", "run_scale_bench",
 #: row's shape changes so archived CI artifacts stay comparable; the
 #: regression gate reads rows with ``.get()`` and tolerates both
 #: stamped and unstamped rows.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
-def bench_spec(servers: int, backend: str = "object"):
+def bench_spec(servers: int):
     """A balanced :class:`DataCenterSpec` for ``servers`` machines."""
     from repro.datacenter import DataCenterSpec
 
@@ -47,17 +47,16 @@ def bench_spec(servers: int, backend: str = "object"):
     conductance = 80_000.0 * (servers / zones) / 200.0
     return DataCenterSpec(racks=racks, servers_per_rack=20,
                           zones=zones, cracs=cracs,
-                          zone_conductance_w_per_k=conductance,
-                          backend=backend)
+                          zone_conductance_w_per_k=conductance)
 
 
-def _run_scale_once(servers: int, backend: str, hours: float,
+def _run_scale_once(servers: int, hours: float,
                     demand_fraction: float, shards: int,
                     shard_workers: int, pool=None) -> dict:
     """One timed managed day (plain or zone-sharded)."""
     from repro.datacenter import CoSimulation, ShardedCoSimulation
 
-    spec = bench_spec(servers, backend)
+    spec = bench_spec(servers)
     demand = spec.total_servers * spec.server_capacity * demand_fraction
     start = time.perf_counter()
     if shards:
@@ -70,7 +69,6 @@ def _run_scale_once(servers: int, backend: str, hours: float,
     wall_s = time.perf_counter() - start
     metrics = {
         "servers": spec.total_servers,
-        "backend": backend,
         "hours": hours,
         "wall_s": wall_s,
         "sim_seconds_per_wall_second": hours * 3600.0 / wall_s,
@@ -86,8 +84,7 @@ def _run_scale_once(servers: int, backend: str, hours: float,
     return metrics
 
 
-def run_scale_bench(servers: int, backend: str = "object",
-                    hours: float = 24.0,
+def run_scale_bench(servers: int, hours: float = 24.0,
                     demand_fraction: float = 0.5,
                     shards: int = 0, shard_workers: int = 1,
                     repeat: int = 1, warmup: int = 0) -> dict:
@@ -117,7 +114,7 @@ def run_scale_bench(servers: int, backend: str = "object",
     best: dict | None = None
     try:
         for i in range(runs):
-            metrics = _run_scale_once(servers, backend, hours,
+            metrics = _run_scale_once(servers, hours,
                                       demand_fraction, shards,
                                       shard_workers, pool=pool)
             if i < warmup:
@@ -218,7 +215,7 @@ def federation_scenario(n_sites: int = 5, shards: int = 1,
     for i in range(n_sites):
         name = f"dc{i}"
         spec = DataCenterSpec(name=name, racks=2, servers_per_rack=4,
-                              zones=2, cracs=1, backend="vector")
+                              zones=2, cracs=1)
         schedule = None
         engine_kwargs = None
         if name == outage_site:
@@ -321,11 +318,11 @@ def format_federation_report(metrics: typing.Mapping) -> str:
 
 def format_report(metrics: typing.Mapping) -> str:
     """Human-readable one-run summary."""
-    layout = metrics["backend"]
+    layout = ""
     if metrics.get("shards"):
-        layout += (f", {metrics['shards']} shards / "
-                   f"{metrics['shard_workers']} workers")
-    return (f"{metrics['servers']:,} servers ({layout}): "
+        layout = (f" ({metrics['shards']} shards / "
+                  f"{metrics['shard_workers']} workers)")
+    return (f"{metrics['servers']:,} servers{layout}: "
             f"{metrics['hours']:.0f} h simulated in "
             f"{metrics['wall_s']:.2f} s wall "
             f"({metrics['sim_seconds_per_wall_second']:,.0f}x realtime) "

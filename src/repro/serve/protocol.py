@@ -43,7 +43,7 @@ PROTOCOL_VERSION = 1
 
 #: Version stamp for exported artifacts (RunReport serve section,
 #: ``bench --json`` rows) so archived artifacts are comparable.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Streams a client may subscribe to.
 TELEMETRY_STREAMS = ("power", "pue", "served", "health")

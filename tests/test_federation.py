@@ -40,7 +40,7 @@ PERIOD = 300.0
 
 def _spec(name, **overrides):
     base = dict(name=name, racks=2, servers_per_rack=4, zones=2,
-                cracs=1, backend="vector")
+                cracs=1)
     base.update(overrides)
     return DataCenterSpec(**base)
 
@@ -409,3 +409,53 @@ class TestFederatedCoSimulation:
         par = FederatedCoSimulation(sites, fed.regions,
                                     workers=True).run(2 * 3600.0)
         assert par == ref
+
+
+class TestTransportParity:
+    """In-process sites vs one supervised pipe worker per site: the
+    path is invisible in the results, the in-process path spawns no
+    worker, and a SIGKILLed worker is the only one respawned."""
+
+    def _federation(self, **kwargs):
+        from repro.federation import (
+            FederatedCoSimulation,
+            FederationSite,
+            Region,
+            SiteConfig,
+            SiteMeta,
+        )
+
+        sites = [FederationSite(
+            config=SiteConfig(
+                name=f"dc{i}",
+                spec=_spec(name=f"dc{i}", racks=2, servers_per_rack=4,
+                           zones=2, cracs=1)),
+            meta=SiteMeta(name=f"dc{i}", energy_price_per_kwh=0.10,
+                          static_pue=1.5)) for i in range(2)]
+        regions = [Region(name=f"r{i}", home=f"dc{i}",
+                          peak_units=0.45 * 800.0, utc_offset_h=8.0 * i,
+                          latency_ms={"dc0": 20.0, "dc1": 40.0})
+                   for i in range(2)]
+        return FederatedCoSimulation(sites, regions, **kwargs)
+
+    def test_federated_pipe_matches_local(self, spawned):
+        ref = self._federation().run(2 * 3600.0)
+        assert spawned == []
+
+        pipe = self._federation(workers=True)
+        assert pipe.run(2 * 3600.0) == ref
+        assert len(spawned) == 2
+        assert pipe.recoveries == {"dc0": 0, "dc1": 0}
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_chaos_kill_of_either_site_replays(self, victim, spawned):
+        # SIGKILL either site's worker mid-run: restart-and-replay must
+        # reproduce the uninterrupted in-process result, and only the
+        # killed site's worker is respawned.
+        ref = self._federation().run(2 * 3600.0)
+        name = f"dc{victim}"
+        fed = self._federation(workers=True, chaos_kill={name: 3})
+        assert fed.run(2 * 3600.0) == ref
+        assert fed.recoveries == {f"dc{i}": int(i == victim)
+                                  for i in range(2)}
+        assert len(spawned) == 3

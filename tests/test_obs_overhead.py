@@ -36,7 +36,7 @@ def run_small_day(tracer, control_plane=None, hours=6.0):
 
 
 def run_bench_day(tracer):
-    spec = bench_spec(500, "vector")
+    spec = bench_spec(500)
     demand = spec.total_servers * spec.server_capacity * 0.5
     t0 = time.perf_counter()
     sim = CoSimulation(spec, lambda t: demand, tracer=tracer)

@@ -185,8 +185,7 @@ def test_migration_storm_property_400_steps():
       failures keep clean :meth:`FleetAggregate.verify` reports and
       identical states;
     * the Γ-robust packer plans identically off the VMHost pool and
-      off the VectorFleet capacity column (backend placement
-      equality).
+      off the VectorFleet capacity column (placement equality).
     """
     N_HOSTS, N_VMS, STEPS = 10, 16, 400
     env = Environment()

@@ -7,7 +7,9 @@ telemetry reads are observer-effect-free — so a watched, chunked,
 served run fingerprints identically to one straight run.
 """
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -71,6 +73,22 @@ def test_scenario_validates_shape():
         ServeScenario(tick_s=0.0)
     with pytest.raises(ValueError):
         ServeScenario(initial_work_fraction=1.5)
+
+
+def test_torn_down_sessions_free_their_plants():
+    """A finished session's co-simulation is freed by the cycle
+    collector, so a long-lived daemon does not grow per session."""
+    refs = []
+    for seed in range(3):
+        session = SimSession(ServeScenario(
+            racks=2, servers_per_rack=5, zones=2, cracs=1, seed=seed))
+        session.submit(SetDemand(at_s=60.0, work=120.0))
+        session.advance(5)
+        session.result()
+        refs.append(weakref.ref(session.sim))
+        del session
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 # ----------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_flash_crowd_soak_is_lossless_and_bit_identical(soak):
     # -- served RunReport ----------------------------------------------
     report = json.loads(soak["report"].read_text())
     serve = report["serve"]
-    assert serve["schema_version"] == 1
+    assert serve["schema_version"] == 2
     assert serve["frames_dropped"] == 0
     assert serve["fingerprint"].startswith("{")
     assert len(serve["applied_mutations"]) == serve["mutations_total"]

@@ -25,8 +25,7 @@ from repro.datacenter import (
 
 
 def _spec(**overrides):
-    base = dict(racks=8, servers_per_rack=10, zones=4, cracs=2,
-                backend="vector")
+    base = dict(racks=8, servers_per_rack=10, zones=4, cracs=2)
     base.update(overrides)
     return DataCenterSpec(**base)
 
@@ -130,14 +129,6 @@ class TestShardedCoSimulation:
         sharded.run(3600.0)
         with pytest.raises(RuntimeError):
             sharded.run(3600.0)
-
-    def test_object_backend_shards_too(self):
-        spec = _spec(backend="object")
-        ref = ShardedCoSimulation(spec, DEMAND, shards=2,
-                                  workers=1).run(2 * 3600.0)
-        par = ShardedCoSimulation(spec, DEMAND, shards=2,
-                                  workers=2).run(2 * 3600.0)
-        assert par == ref
 
     def test_tracks_unsharded_energy(self):
         # Sharding approximates the monolith: same servers, same
@@ -260,6 +251,22 @@ class _KillAt:
 
 class TestShardWorkers:
     """Worker supervision: crash replay, pool reuse, cleanup."""
+
+    def test_pipe_and_pooled_workers_match_local(self, spawned):
+        spec = _spec()
+        ref = ShardedCoSimulation(spec, DEMAND, shards=2,
+                                  workers=1).run(2 * 3600.0)
+        assert spawned == []
+
+        pipe = ShardedCoSimulation(spec, DEMAND, shards=2, workers=2)
+        assert pipe.run(2 * 3600.0) == ref
+        assert len(spawned) == 2
+
+        with ShardWorkerPool(2) as pool:
+            pooled = ShardedCoSimulation(spec, DEMAND, shards=2,
+                                         workers=2, pool=pool)
+            assert pooled.run(2 * 3600.0) == ref
+        assert len(spawned) == 4
 
     def test_sigkill_at_random_period_replays_bit_identically(self):
         """SIGKILL a shard worker at a random macro period: the

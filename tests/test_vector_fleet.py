@@ -1,10 +1,15 @@
 """Unit tests for the structure-of-arrays vector plant.
 
-The backend-equivalence suite (test_backend_equivalence.py) proves the
-two backends agree end to end; these tests pin the fleet package's own
-contracts — view semantics, the energy meter, aggregate construction
-rules, batch gating, and the vectorized scans.
+Every facility runs on this plant, so its contract is pinned against
+plain :class:`Server` twins: view semantics, the energy meter,
+aggregate construction rules, batch gating, the vectorized scans, and
+random mutation sequences that must leave twin plants identical.  End
+to end, the canonical co-simulations must keep the batch gate open,
+and a finished co-simulation must be garbage-collectable.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +17,10 @@ import pytest
 from repro.cluster.aggregates import FleetAggregate, make_pool_aggregate
 from repro.cluster.rack import Cluster, Rack
 from repro.cluster.server import Server, ServerState
+from repro.controlplane import ControlPlaneProfile
+from repro.core import SLA
+from repro.core.faults import FaultKind, FaultSchedule, Incident
+from repro.datacenter import CoSimulation, DataCenterSpec
 from repro.fleet import (
     EnergyMeter,
     VectorAggregate,
@@ -22,7 +31,8 @@ from repro.fleet import (
 )
 from repro.power.models import ServerPowerModel
 from repro.power.pstates import PStateTable
-from repro.sim import Environment
+from repro.sim import Environment, RandomStreams
+from repro.workload import DiurnalProfile
 
 
 def make_fleet(n=8, **server_kwargs):
@@ -126,6 +136,18 @@ def test_energy_meter_rejects_windowed_queries_and_time_travel():
     assert meter.last == servers[0].power_w()
 
 
+def test_energy_meter_windowed_error_names_what_works():
+    env, fleet, servers = make_fleet(1)
+    env.run(until=10.0)
+    with pytest.raises(ValueError) as err:
+        servers[0].power_monitor.integral(5.0)
+    assert str(err.value) == (
+        "EnergyMeter keeps no history: ask for the full-range "
+        "integral (start=None), or use a plain Server, whose power "
+        "Monitor answers windowed integrals")
+    assert servers[0].power_monitor.integral() == servers[0].energy_j()
+
+
 # ----------------------------------------------------------------------
 # Aggregate construction rules
 # ----------------------------------------------------------------------
@@ -198,17 +220,15 @@ def test_batcher_requires_canonical_wiring():
         def state_changed(self, *a):
             pass
 
-    servers[2]._watchers.append(Mute())
+    servers[2].add_watcher(Mute())
     assert pool.batcher() is None  # cannot be notified: fall back
 
-    servers[2]._watchers.pop()
-    # Plain-list mutation (pop) does not bump the epoch, but any
-    # epoch-bumping mutation rechecks; emulate a rewire.
-    servers[2]._watchers.append(Mute())
-    servers[2]._watchers.remove(servers[2]._watchers[-1])
+    # Swapping the farm slot for anything else is foreign wiring too
+    # (a raw list edit must bump the epoch itself to be re-checked).
+    env, fleet, servers, pool = build_wired_pool()
     assert pool.batcher() is pool
-    # Swapping the farm slot for anything else is foreign wiring too.
     servers[3]._watchers.insert(1, object())
+    fleet._wiring_epoch += 1
     assert pool.batcher() is None
 
 
@@ -231,8 +251,8 @@ def test_plain_extra_watcher_gets_scalar_replay():
     from repro.cluster.loadbalancer import WeightedSplit
 
     rec = Recorder()
-    servers[1]._watchers.append(rec)
-    servers[3]._watchers.append(rec)
+    servers[1].add_watcher(rec)
+    servers[3].add_watcher(rec)
     for s in servers[:4]:
         s.power_on()
     env.run(until=121.0)
@@ -261,7 +281,7 @@ def test_batch_safe_extra_watcher_keeps_batching():
             pass
 
     for s in servers:
-        s._watchers.append(SafeExtra())
+        s.add_watcher(SafeExtra())
     assert pool.batcher() is pool
 
 
@@ -496,3 +516,179 @@ def test_vector_cluster_matches_object_cluster():
     for state in ServerState:
         assert vec.count_in(state) == obj.count_in(state)
     assert vec.total_effective_capacity() == obj.total_effective_capacity()
+
+
+# ----------------------------------------------------------------------
+# Twin plants: random op sequences against plain Servers
+# ----------------------------------------------------------------------
+def build_twin_plants(n=12):
+    env_o = Environment()
+    obj = [Server(env_o, f"s{i}", capacity=100.0) for i in range(n)]
+    env_v = Environment()
+    fleet = VectorFleet(env_v, n)
+    vec = [VectorServer(fleet, env_v, f"s{i}", capacity=100.0)
+           for i in range(n)]
+    return env_o, obj, env_v, vec
+
+
+def apply_op(op, value, server):
+    """One scripted mutation; illegal transitions are skipped."""
+    try:
+        if op == 0:
+            server.power_on()
+        elif op == 1:
+            server.set_offered_load(value * 150.0)
+        elif op == 2:
+            server.set_pstate(int(value * 6.0) % 6)
+        elif op == 3:
+            server.apply_cap(value * 250.0 + 50.0)
+        elif op == 4:
+            server.remove_cap()
+        elif op == 5:
+            if server.offered_load == 0.0:
+                server.sleep()
+        elif op == 6:
+            server.wake()
+        else:
+            if value < 0.2:
+                server.fail()
+            elif server.state is ServerState.FAILED:
+                server.repair()
+    except Exception:
+        pass  # illegal from current state — same exception both sides
+
+
+def test_random_sequences_keep_plants_identical():
+    rng = np.random.default_rng(2024)
+    script = [(int(rng.integers(0, 12)), int(rng.integers(0, 8)),
+               float(rng.random()), float(rng.random()) * 40.0)
+              for _ in range(400)]
+    env_o, obj, env_v, vec = build_twin_plants()
+    t = 0.0
+    for which, op, value, dt in script:
+        apply_op(op, value, obj[which])
+        apply_op(op, value, vec[which])
+        t += dt
+        env_o.run(until=t)
+        env_v.run(until=t)
+        assert obj[which].state is vec[which].state
+        assert obj[which].power_w() == vec[which].power_w()
+    for so, sv in zip(obj, vec):
+        assert so.state is sv.state
+        assert so.power_w() == sv.power_w()
+        assert so.offered_load == sv.offered_load
+        assert so.pstate == sv.pstate
+        assert so._tstate == sv._tstate
+        assert (so._cap_w is None) == (sv._cap_w is None)
+        assert sv.energy_j() == pytest.approx(so.energy_j(), rel=1e-9)
+
+
+def test_total_energy_identical_despite_lazy_meters():
+    """∫P dt matches per server even though meters flush lazily.
+
+    Batch dispatch skips servers whose load is unchanged, so their
+    EnergyMeter segments stay open across many ticks; the plain
+    twins re-record every tick into a full Monitor history.
+    """
+    from repro.cluster.loadbalancer import WeightedSplit
+
+    env, fleet, servers, pool = build_wired_pool(8)
+    env2 = Environment()
+    twins = [Server(env2, f"t{i}") for i in range(len(servers))]
+    for s, t in zip(servers[:6], twins[:6]):
+        s.power_on(), t.power_on()
+    env.run(until=121.0), env2.run(until=121.0)
+    policy = WeightedSplit()
+    levels = [240.0] * 5 + [410.0] * 3 + [90.0] * 4 + [240.0] * 6
+    for k, load in enumerate(levels):
+        when = 121.0 + 60.0 * (k + 1)
+        env.run(until=when), env2.run(until=when)
+        if k == 9:
+            for srv in (servers[5], twins[5]):
+                srv.set_offered_load(0.0)
+                srv.sleep()
+        pool.batcher().fused_dispatch(policy, load,
+                                      pool.active_servers())
+        active = [t for t in twins if t.state is ServerState.ACTIVE]
+        for t in twins:
+            if t.state is not ServerState.ACTIVE and t.offered_load:
+                t.set_offered_load(0.0)
+        for t, share in zip(active, policy.split(load, active)):
+            t.set_offered_load(share)
+    env.run(until=2_000.0), env2.run(until=2_000.0)
+    for s, t in zip(servers, twins):
+        assert s.power_w() == t.power_w()
+        assert s.energy_j() == pytest.approx(t.energy_j(), rel=1e-9)
+    total_v = sum(s.energy_j() for s in servers)
+    total_o = sum(t.energy_j() for t in twins)
+    assert total_v == pytest.approx(total_o, rel=1e-9)
+
+
+# ----------------------------------------------------------------------
+# End to end: the canonical co-simulations stay on the batch kernels
+# ----------------------------------------------------------------------
+def run_cosim(managed=True, faulted=False, profile=None, capped=False,
+              nonlinearity=1.0, hours=4.0):
+    spec = DataCenterSpec(name="zf", racks=6, servers_per_rack=8,
+                          zones=3, cracs=2,
+                          server_nonlinearity=nonlinearity)
+    peak = spec.total_servers * spec.server_capacity * 0.6
+    diurnal = DiurnalProfile()
+    schedule = None
+    if faulted:
+        schedule = FaultSchedule()
+        schedule.add(Incident(FaultKind.CRAC_FAILURE, at_s=3_600.0,
+                              duration_s=1_800.0, target=0))
+    budget = (0.62 * spec.total_servers * spec.server_peak_w
+              if capped else None)
+    sim = CoSimulation(spec, lambda t: peak * diurnal(t),
+                       managed=managed, fault_schedule=schedule,
+                       streams=RandomStreams(11), control_plane=profile,
+                       power_budget_w=budget,
+                       sla=SLA("zf", response_target_s=0.15))
+    sim.run(hours * 3_600.0)
+    return sim
+
+
+SCENARIOS = {
+    "managed": {},
+    "static": {"managed": False},
+    "faulted": {"faulted": True},
+    "impaired": {"profile": "hardened"},
+    "capped": {"capped": True},
+    "nonlinear": {"nonlinearity": 1.3},
+    "nonlinear-capped": {"nonlinearity": 1.3, "capped": True},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_batch_gate_open_after_run(name):
+    kwargs = dict(SCENARIOS[name])
+    if "profile" in kwargs:
+        kwargs["profile"] = getattr(ControlPlaneProfile,
+                                    kwargs["profile"])()
+    sim = run_cosim(**kwargs)
+    assert sim.farm.fleet.batcher() is sim.farm.fleet
+    if kwargs.get("capped"):
+        # The capper's demand query runs on the fleet columns.
+        assert sim.manager.capper._vector_fleet() is sim.farm.fleet._fleet
+
+
+def test_finished_cosim_is_collected():
+    """A finished co-simulation's plant is freed by the cycle collector.
+
+    Server views and their fleet reference each other, so only the
+    cycle collector can free them — which it cannot do through a numpy
+    object array.
+    """
+    refs = []
+    for _ in range(3):
+        spec = DataCenterSpec(racks=10, servers_per_rack=20, zones=2,
+                              cracs=1)
+        demand = spec.total_servers * spec.server_capacity * 0.5
+        sim = CoSimulation(spec, lambda t: demand, managed=True)
+        sim.run(3_600.0)
+        refs.append(weakref.ref(sim))
+        del sim
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
