@@ -259,3 +259,18 @@ class CoSimulation:
             controlplane=(self.control_plane.report()
                           if self.control_plane is not None else None),
         )
+
+    def summarize_work(self, start: float
+                       ) -> tuple[CoSimResult, float, float]:
+        """:meth:`summarize` ``[start, now]`` plus its work integrals.
+
+        Returns ``(result, offered, shed)`` with offered and shed work
+        in unit-seconds — the triple a zone shard hands
+        :func:`~repro.datacenter.sharded.merge_results` and a
+        federation site hands the work ledger.
+        """
+        end = self.env.now
+        farm = self.farm
+        return (self.summarize(start, end),
+                farm.offered_monitor.integral(start, end),
+                farm.shed_monitor.integral(start, end))

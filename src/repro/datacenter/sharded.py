@@ -73,12 +73,12 @@ import dataclasses
 import math
 import typing
 
-from repro.cluster.server import ServerState
 from repro.core.faults import FaultKind, FaultSchedule, ResilienceReport
 from repro.core.sla import SLAReport
 from repro.datacenter.cosim import CoSimResult, CoSimulation
 from repro.datacenter.spec import DataCenterSpec
 from repro.datacenter.workers import Job, ShardWorkerPool, supervised
+from repro.workload.diurnal import declared_demand
 
 __all__ = [
     "partition_spec",
@@ -259,10 +259,8 @@ def merge_results(finished: typing.Sequence[tuple[CoSimResult, float,
                   duration_s: float) -> CoSimResult:
     """Fold ``(result, offered, shed)`` triples into one summary.
 
-    The merge semantics documented in the module docstring; shared by
-    :class:`ShardedCoSimulation` and the federation layer (a site's
-    zone shards merge into one site result the same way a facility's
-    shards merge into one facility result).
+    The merge semantics documented in the module docstring; each
+    triple is one shard's :meth:`CoSimulation.summarize_work`.
     """
     results = [f[0] for f in finished]
     offered = 0.0
@@ -305,87 +303,35 @@ def merge_results(finished: typing.Sequence[tuple[CoSimResult, float,
     )
 
 
-def _demand_fn(cfg: dict, capacity: float):
-    """Build the global demand callable from a picklable config.
-
-    ``cfg`` mirrors :func:`repro.perf.sweep.run_cosim_point`'s demand
-    block — ``{"kind": "constant"|"diurnal", "fraction": f}`` with the
-    fraction relative to ``capacity`` — so the same declaration drives
-    a sharded run, a sweep point, or a plain co-simulation.
-    """
-    fraction = float(cfg.get("fraction", 0.5))
-    kind = cfg.get("kind", "constant")
-    if kind == "constant":
-        level = fraction * capacity
-
-        def fn(t: float) -> float:
-            return level
-    elif kind == "diurnal":
-        from repro.workload.diurnal import DiurnalProfile
-        profile = DiurnalProfile()
-        scale = fraction * capacity
-
-        def fn(t: float) -> float:
-            return scale * profile(t)
-    else:
-        raise ValueError(f"unknown demand kind {kind!r}")
-    return fn
-
-
 class _Shard:
     """One sub-facility co-simulation plus its mutable demand share."""
 
     def __init__(self, index: int, spec: DataCenterSpec, demand_cfg: dict,
-                 total_capacity: float, managed: bool,
+                 total_capacity: float,
                  fault_schedule: FaultSchedule | None = None):
         self.index = index
         self.share = 0.0  # parent sends the real share before each period
-        global_fn = _demand_fn(demand_cfg, total_capacity)
+        global_fn = declared_demand(demand_cfg, total_capacity)
 
         def shard_demand(t: float) -> float:
             return global_fn(t) * self.share
 
-        self.sim = CoSimulation(spec, shard_demand, managed=managed,
+        self.sim = CoSimulation(spec, shard_demand,
                                 fault_schedule=fault_schedule)
         self.start = self.sim.env.now
-
-    def deliverable_cap(self) -> float:
-        """Healthy capacity — the aggregate column shards exchange.
-
-        Installed capacity minus failed servers: what the shard could
-        serve once its manager wakes the fleet, not what happens to be
-        awake right now.  Re-read at every sync point, so a repair
-        restores the shard's demand share at the next period instead
-        of trapping it behind its own post-fault sleep state (low
-        share → few awake → low awake capacity → low share).
-        """
-        dc = self.sim.dc
-        failed = dc.cluster.count_in(ServerState.FAILED)
-        return (dc.spec.total_servers - failed) * dc.spec.server_capacity
-
-    def advance(self, until: float) -> None:
-        self.sim.env.run(until=until)
-
-    def finish(self) -> tuple[CoSimResult, float, float]:
-        """Shard summary plus the offered/shed integrals the merge needs."""
-        end = self.sim.env.now
-        result = self.sim.summarize(self.start, end)
-        offered = self.sim.farm.offered_monitor.integral(self.start, end)
-        shed = self.sim.farm.shed_monitor.integral(self.start, end)
-        return result, offered, shed
 
 
 class _ShardGroup:
     """Drives a batch of shards; used verbatim in-process and in workers."""
 
     def __init__(self, items: list[tuple], demand_cfg: dict,
-                 total_capacity: float, managed: bool):
-        self.shards = [_Shard(i, s, demand_cfg, total_capacity, managed,
+                 total_capacity: float):
+        self.shards = [_Shard(i, s, demand_cfg, total_capacity,
                               fault_schedule=sched)
                        for i, s, sched in items]
 
     def ready(self) -> list[tuple[int, float, float]]:
-        return [(s.index, s.start, s.deliverable_cap())
+        return [(s.index, s.start, s.sim.dc.healthy_capacity())
                 for s in self.shards]
 
     def advance(self, until: float,
@@ -393,12 +339,13 @@ class _ShardGroup:
         out = []
         for s in self.shards:
             s.share = shares[s.index]
-            s.advance(until)
-            out.append((s.index, s.deliverable_cap()))
+            s.sim.env.run(until=until)
+            out.append((s.index, s.sim.dc.healthy_capacity()))
         return out
 
     def finish(self) -> list[tuple[int, tuple]]:
-        return [(s.index, s.finish()) for s in self.shards]
+        return [(s.index, s.sim.summarize_work(s.start))
+                for s in self.shards]
 
 
 class ShardedCoSimulation:
@@ -410,9 +357,10 @@ class ShardedCoSimulation:
         The whole facility; :func:`partition_spec` cuts it up.
     demand:
         Declarative global demand (picklable — it must cross the
-        process boundary): ``{"kind": "constant"|"diurnal",
-        "fraction": f}`` with the fraction relative to the *full*
-        facility's capacity.
+        process boundary): a :func:`~repro.workload.declared_demand`
+        block, ``{"kind": "constant"|"diurnal", "fraction": f}``, with
+        the fraction relative to the *full* facility's capacity.  Every
+        shard runs the elastic macro manager.
     shards:
         Number of sub-facilities (≤ ``spec.zones``).
     workers:
@@ -438,7 +386,6 @@ class ShardedCoSimulation:
 
     def __init__(self, spec: DataCenterSpec, demand: dict,
                  shards: int = 2, workers: int = 1,
-                 managed: bool = True,
                  sync_period_s: float = 300.0,
                  fault_schedule: FaultSchedule | None = None,
                  recv_deadline_s: float = 120.0,
@@ -450,7 +397,7 @@ class ShardedCoSimulation:
         if not isinstance(demand, dict):
             raise TypeError("demand must be a declarative dict "
                             "(it crosses the process boundary)")
-        _demand_fn(demand, 1.0)  # validate the config eagerly
+        declared_demand(demand, 1.0)  # validate the config eagerly
         self.spec = spec
         self.demand = dict(demand)
         self.shard_specs = partition_spec(spec, shards)
@@ -461,7 +408,6 @@ class ShardedCoSimulation:
             self.shard_faults = list(partition_faults(
                 spec, self.shard_specs, fault_schedule))
         self.workers = max(1, min(int(workers), len(self.shard_specs)))
-        self.managed = bool(managed)
         self.sync_period_s = float(sync_period_s)
         self.recv_deadline_s = float(recv_deadline_s)
         self.total_capacity = spec.total_servers * spec.server_capacity
@@ -514,8 +460,7 @@ class ShardedCoSimulation:
             batch = items[w::self.workers]
             jobs.append(Job(f"shards {[i for i, _, _ in batch]}",
                             _ShardGroup, (batch, self.demand,
-                                          self.total_capacity,
-                                          self.managed)))
+                                          self.total_capacity)))
         return jobs
 
     def _drive(self, groups, duration_s: float) -> CoSimResult:

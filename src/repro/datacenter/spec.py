@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 
 from repro.cluster.rack import Rack
+from repro.cluster.server import ServerState
 from repro.cooling.crac import CRACUnit
 from repro.cooling.economizer import AirSideEconomizer
 from repro.cooling.room import MachineRoom
@@ -176,6 +177,21 @@ class DataCenter:
     #: physical tick; ``()`` when the shape check failed.
     _tree_fast: tuple | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
+
+    def healthy_capacity(self) -> float:
+        """Installed capacity minus failed servers (work units/s).
+
+        What the facility could serve once its manager wakes the
+        fleet, not what happens to be awake.  This is the column the
+        zone shards exchange and the federation sites report, so a
+        repair restores the plant's demand share at the next sync
+        point instead of trapping it behind its own post-fault sleep
+        state (low share → few awake → low awake capacity → low
+        share).
+        """
+        failed = self.cluster.count_in(ServerState.FAILED)
+        return ((self.spec.total_servers - failed)
+                * self.spec.server_capacity)
 
     def _tree_fast_path(self) -> tuple | None:
         """Cache the spec's canonical transformer→UPS→PDU→leaf chain.

@@ -59,6 +59,15 @@ class FederationSite:
     config: SiteConfig
     meta: SiteMeta
 
+    def __post_init__(self):
+        # The router keys assignments by the meta name and the plant
+        # reports under the config name; a mismatch would route the
+        # site no work and drop its region's demand unaccounted.
+        if self.config.name != self.meta.name:
+            raise ValueError(
+                f"site config name {self.config.name!r} differs from "
+                f"its routing name {self.meta.name!r}")
+
     @property
     def name(self) -> str:
         return self.config.name

@@ -187,7 +187,7 @@ def format_placement_report(metrics: typing.Mapping) -> str:
             f"{metrics['unplaced']} unplaced")
 
 
-def federation_scenario(n_sites: int = 5, shards: int = 1,
+def federation_scenario(n_sites: int = 5,
                         outage_site: str = "dc0",
                         outage_start_s: float = 2 * 86_400.0
                         + 6 * 3600.0,
@@ -224,7 +224,7 @@ def federation_scenario(n_sites: int = 5, shards: int = 1,
                                   outage_start_s, outage_duration_s))
             engine_kwargs = {"generator_start_probability": 0.0}
         sites.append(FederationSite(
-            config=SiteConfig(name=name, spec=spec, shards=shards,
+            config=SiteConfig(name=name, spec=spec,
                               fault_schedule=schedule,
                               fault_engine_kwargs=engine_kwargs),
             meta=SiteMeta(name=name,

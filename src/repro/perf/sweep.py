@@ -266,9 +266,9 @@ def run_cosim_point(params: dict) -> dict:
     the process boundary:
 
     * ``spec``: kwargs for :class:`~repro.datacenter.DataCenterSpec`.
-    * ``demand``: ``{"kind": "constant"|"diurnal", "fraction": f}``,
-      as a fraction of total fleet capacity.  ``diurnal`` modulates by
-      :class:`~repro.workload.DiurnalProfile` (peak-normalized).
+    * ``demand``: a :func:`~repro.workload.declared_demand` block,
+      ``{"kind": "constant"|"diurnal", "fraction": f}``, as a fraction
+      of total fleet capacity.
     * ``managed``: run the elastic manager (default ``True``).
     * ``hours``: simulated duration (default 24).
     * ``seed``: for the point's :class:`~repro.sim.RandomStreams`.
@@ -276,26 +276,12 @@ def run_cosim_point(params: dict) -> dict:
     from repro.datacenter.cosim import CoSimulation
     from repro.datacenter.spec import DataCenterSpec
     from repro.sim.rng import RandomStreams
-    from repro.workload.diurnal import DiurnalProfile
+    from repro.workload.diurnal import declared_demand
 
     spec = DataCenterSpec(**params.get("spec", {}))
-    capacity = spec.total_servers * spec.server_capacity
-    demand_cfg = params.get("demand", {"kind": "constant",
-                                       "fraction": 0.5})
-    fraction = float(demand_cfg.get("fraction", 0.5))
-    kind = demand_cfg.get("kind", "constant")
-    if kind == "constant":
-        def demand_fn(t: float, _level=fraction * capacity) -> float:
-            return _level
-    elif kind == "diurnal":
-        # DiurnalProfile is already normalized to a weekly peak of 1,
-        # so ``fraction`` is the peak demand as a capacity fraction.
-        profile = DiurnalProfile()
-
-        def demand_fn(t: float, _scale=fraction * capacity) -> float:
-            return _scale * profile(t)
-    else:
-        raise ValueError(f"unknown demand kind {kind!r}")
+    demand_fn = declared_demand(
+        params.get("demand", {"kind": "constant", "fraction": 0.5}),
+        spec.total_servers * spec.server_capacity)
 
     sim = CoSimulation(
         spec,

@@ -10,6 +10,7 @@ from repro.workload.diurnal import (
     DiurnalProfile,
     MessengerTraceGenerator,
     WorkloadTrace,
+    declared_demand,
 )
 from repro.workload.flashcrowd import (
     FlashCrowdEvent,
@@ -53,6 +54,7 @@ __all__ = [
     "SessionTrace",
     "WorkloadTrace",
     "animoto_demand",
+    "declared_demand",
     "demand_trace",
     "flash_crowd_sessions",
     "load_trace",

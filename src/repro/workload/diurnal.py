@@ -20,7 +20,8 @@ import numpy as np
 
 from repro.sim import RandomStreams
 
-__all__ = ["DiurnalProfile", "MessengerTraceGenerator", "WorkloadTrace"]
+__all__ = ["DiurnalProfile", "MessengerTraceGenerator", "WorkloadTrace",
+           "declared_demand"]
 
 _HOUR_S = 3600.0
 _DAY_S = 86_400.0
@@ -71,6 +72,35 @@ class DiurnalProfile:
         """Demand shape at ``t_s``, normalized so the weekly peak is 1."""
         raw = self.hour_of_day_factor(t_s) * self.day_of_week_factor(t_s)
         return raw / (1.0 + self._amplitude)
+
+
+def declared_demand(cfg: dict, capacity: float):
+    """Build a demand callable from a picklable declaration.
+
+    ``cfg`` is ``{"kind": "constant"|"diurnal", "fraction": f}`` with
+    the fraction relative to ``capacity`` (default: constant at 0.5).
+    ``diurnal`` modulates by :class:`DiurnalProfile`, which is already
+    normalized to a weekly peak of 1, so ``fraction`` is the peak
+    demand as a capacity fraction.  The same declaration drives a
+    sweep point, a sharded run, or a plain co-simulation, because it
+    crosses process boundaries where a callable cannot.
+    """
+    fraction = float(cfg.get("fraction", 0.5))
+    kind = cfg.get("kind", "constant")
+    if kind == "constant":
+        level = fraction * capacity
+
+        def fn(t: float) -> float:
+            return level
+    elif kind == "diurnal":
+        profile = DiurnalProfile()
+        scale = fraction * capacity
+
+        def fn(t: float) -> float:
+            return scale * profile(t)
+    else:
+        raise ValueError(f"unknown demand kind {kind!r}")
+    return fn
 
 
 @dataclasses.dataclass

@@ -229,10 +229,6 @@ class TestHealthLadder:
 # Site runtime
 # ----------------------------------------------------------------------
 class TestSiteRuntime:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SiteConfig(name="x", spec=_spec("x"), shards=0)
-
     def test_ready_summary_reports_boot_state(self):
         runtime = SiteRuntime(SiteConfig(name="s", spec=_spec("s")))
         summary = runtime.ready()
@@ -247,19 +243,50 @@ class TestSiteRuntime:
         with pytest.raises(ValueError):
             runtime.advance(runtime.now, 100.0)
 
-    def test_sharded_site_serves_and_merges(self):
-        runtime = SiteRuntime(SiteConfig(name="s", spec=_spec("s"),
-                                         shards=2))
-        assert len(runtime.plants) == 2
-        t = runtime.now
+    def test_site_serves_and_finishes(self):
+        """advance → finish accounting: the per-period summaries and
+        the final result tell the same offered/shed/energy story."""
+        runtime = SiteRuntime(SiteConfig(name="s", spec=_spec("s")))
+        t = start = runtime.now
+        summaries = []
         for k in range(12):
             t += PERIOD
-            summary = runtime.advance(t, 300.0)
-        assert summary.installed_capacity == 800.0
+            summaries.append(runtime.advance(t, 300.0))
+        assert all(s.installed_capacity == 800.0 for s in summaries)
         result, offered, shed = runtime.finish()
+        assert result.duration_s == t - start
         assert offered == pytest.approx(300.0 * 12 * PERIOD, rel=0.01)
+        assert offered == pytest.approx(
+            sum(s.window_offered for s in summaries), rel=1e-9)
+        assert shed == pytest.approx(
+            sum(s.window_shed for s in summaries), rel=1e-9, abs=1e-9)
         assert shed < 0.02 * offered
+        assert result.sla.served_fraction == pytest.approx(
+            1.0 - shed / offered)
         assert result.facility_energy_j > result.it_energy_j > 0.0
+        assert result.energy_weighted_pue == pytest.approx(
+            result.facility_energy_j / result.it_energy_j)
+
+    def test_blackout_victims_repaired_once_quiet(self):
+        """A site repairs its blackout-failed servers at the first sync
+        boundary after the outage clears."""
+        sched = FaultSchedule()
+        sched.add(Incident(FaultKind.UTILITY_OUTAGE, 1800.0, 3600.0))
+        runtime = SiteRuntime(SiteConfig(
+            name="s", spec=_spec("s"), fault_schedule=sched,
+            fault_engine_kwargs={"generator_start_probability": 0.0}))
+        t = runtime.now
+        summaries = []
+        for k in range(24):
+            t += PERIOD
+            summaries.append(runtime.advance(t, 300.0))
+        dark = [i for i, s in enumerate(summaries)
+                if s.failed_servers == 8]
+        assert dark and summaries[dark[0]].healthy_capacity == 0.0
+        after = next(s for s in summaries[dark[-1]:]
+                     if s.active_incidents == 0)
+        assert after.failed_servers == 0
+        assert after.healthy_capacity == after.installed_capacity
 
 
 # ----------------------------------------------------------------------
@@ -397,18 +424,12 @@ class TestFederatedCoSimulation:
         after = {p.pid for p in multiprocessing.active_children()}
         assert after <= before
 
-    def test_sharded_site_inside_federation(self):
-        """A zone-sharded site (in-process shards inside the site
-        worker) federates like a monolithic one."""
-        fed = _federation(outage=False, n=2)
-        cfg = fed.sites[0].config
-        sites = [FederationSite(
-            config=SiteConfig(name=cfg.name, spec=cfg.spec, shards=2),
-            meta=fed.sites[0].meta)] + fed.sites[1:]
-        ref = FederatedCoSimulation(sites, fed.regions).run(2 * 3600.0)
-        par = FederatedCoSimulation(sites, fed.regions,
-                                    workers=True).run(2 * 3600.0)
-        assert par == ref
+    def test_site_names_must_agree(self):
+        """The router keys work by the meta name and the plant reports
+        under the config name: a mismatch must not build."""
+        cfg = SiteConfig(name="dcX", spec=_spec("dcX"))
+        with pytest.raises(ValueError, match="dcX.*dc0"):
+            FederationSite(config=cfg, meta=_metas(1)[0])
 
 
 class TestTransportParity:

@@ -384,23 +384,25 @@ class TestShardedFaults:
         healthy capacity drops while the rack is dark and returns
         afterwards, so the demand redistribution follows."""
         from repro.core.faults import FaultKind, FaultSchedule, Incident
-        from repro.datacenter.sharded import _Shard
+        from repro.datacenter import partition_faults
+        from repro.datacenter.sharded import _ShardGroup
 
         spec = _spec()
         parts = partition_spec(spec, 2)
-        shard_scheds = {}
         sched = FaultSchedule()
         sched.add(Incident(FaultKind.RACK_BRANCH, 600.0, 1200.0,
                            target=f"{spec.name}-rack0"))
-        from repro.datacenter import partition_faults
-
         per_shard = partition_faults(spec, parts, sched)
         total = spec.total_servers * spec.server_capacity
-        shard = _Shard(0, parts[0], DEMAND, total, True, per_shard[0])
+        group = _ShardGroup([(0, parts[0], per_shard[0])], DEMAND, total)
+        shard = group.shards[0]
+        dc = shard.sim.dc
         installed = (parts[0].total_servers
                      * parts[0].server_capacity)
-        assert shard.deliverable_cap() == pytest.approx(installed)
-        shard.advance(shard.start + 900.0)      # mid-incident
-        assert shard.deliverable_cap() < installed
-        shard.advance(shard.start + 2400.0)     # after repair
-        assert shard.deliverable_cap() == pytest.approx(installed)
+        # The exchanged column is DataCenter.healthy_capacity().
+        assert group.ready() == [(0, shard.start, installed)]
+        assert dc.healthy_capacity() == installed
+        [(_, cap)] = group.advance(shard.start + 900.0, {0: 0.5})
+        assert cap == dc.healthy_capacity() < installed  # mid-incident
+        [(_, cap)] = group.advance(shard.start + 2400.0, {0: 0.5})
+        assert cap == dc.healthy_capacity() == installed  # repaired
