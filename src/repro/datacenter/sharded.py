@@ -478,6 +478,11 @@ class ShardedCoSimulation:
         while t < end:
             t = min(t + self.sync_period_s, end)
             shares = self._shares(caps)
+            if self.workers > 1:
+                # Scatter, then gather: every worker computes the
+                # period while the parent collects in handle order.
+                for group in groups:
+                    group.post_advance(t, shares)
             for index, cap in [pair for group in groups
                                for pair in group.advance(t, shares)]:
                 caps[index] = cap

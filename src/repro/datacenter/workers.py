@@ -20,17 +20,29 @@ text)`` before the worker dies.  Each period's payload is small —
 ``2 × shards`` floats or one :class:`~repro.federation.SiteSummary` —
 so it rides the pipe with the control token.
 
+Scatter/gather
+--------------
+The lockstep loop posts each period to every worker
+(:meth:`WorkerHandle.post_advance`) before it collects any reply
+(:meth:`WorkerHandle.advance`, in handle order), so all workers
+compute the period at once while the parent waits on the first.  A
+handle holds at most one uncollected request: replies come back in
+send order.
+
 Supervision
 -----------
 Every reply crosses :func:`poll_recv`, so a SIGKILLed or hung worker
 surfaces as :class:`ShardWorkerDied` / :class:`ShardWorkerTimeout`
 naming what the worker served and the last completed macro period.
-The handle's message log — the ``build`` message plus every
-``advance`` since — *is* the checkpoint: on a death the handle
-respawns the worker, replays the log (the simulation is
-deterministic, so the discarded replies are bit-identical to the ones
-already consumed), and takes the reply to the in-flight message.  A
-worker that *reports* an error is not restarted: replay would only
+The receive deadline starts when the reply is collected, not when
+the request was posted.  The handle's message log — the ``build``
+message plus every ``advance`` since — *is* the checkpoint: on a
+death the handle respawns the worker, replays the log (the simulation
+is deterministic, so the discarded replies are bit-identical to the
+ones already consumed), and takes the reply to the in-flight message.
+Logs are per handle, so a death found while collecting one worker
+replays that worker alone; the others' replies wait in their pipes.
+A worker that *reports* an error is not restarted: replay would only
 repeat a simulation bug.
 """
 
@@ -211,14 +223,26 @@ class WorkerHandle:
         self.completed_periods = 0
         self.done = False
         self.log: list[tuple] = []
+        self._pending: tuple | None = None
         self._post(("build", job.factory, job.args))
 
     def ready(self):
         """The build's reply: the runtime's ``ready()`` value."""
         return self._collect()
 
-    def advance(self, until: float, x):
+    def post_advance(self, until: float, x) -> None:
+        """Send one period without waiting; :meth:`advance` collects it.
+
+        The lockstep loop posts every handle's period before collecting
+        any, so the workers compute it concurrently.
+        """
         self._post(("advance", until, x))
+
+    def advance(self, until: float, x):
+        """The reply to this period, posting it first unless posted."""
+        message = ("advance", until, x)
+        if self._pending != message:
+            self._post(message)
         out = self._collect()
         self.completed_periods += 1
         return out
@@ -244,7 +268,14 @@ class WorkerHandle:
         return True
 
     def _post(self, message: tuple) -> None:
+        if self._pending is not None:
+            # Replies come back in send order: a second request before
+            # the first is collected would take the wrong reply.
+            raise RuntimeError(
+                f"{message[0]!r} posted while {self._pending[0]!r} is "
+                f"uncollected{self._context()}")
         self.log.append(message)
+        self._pending = message
         self._sent = self._send(message)
 
     def _recv(self, message: tuple):
@@ -266,7 +297,9 @@ class WorkerHandle:
                 if not self._sent:
                     raise ShardWorkerDied(
                         f"worker pipe broken on send{self._context()}")
-                return self._recv(self.log[-1])
+                out = self._recv(self.log[-1])
+                self._pending = None
+                return out
             except ShardWorkerDied as exc:
                 self._restart(exc)
 

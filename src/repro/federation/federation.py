@@ -193,7 +193,7 @@ class FederatedCoSimulation:
                     self.recoveries[site.name] = handle.restarts
 
     def _maybe_kill(self, name: str, handle, period: int) -> None:
-        if self.workers and self.chaos_kill.get(name) == period:
+        if self.chaos_kill.get(name) == period:
             os.kill(handle.pid, signal.SIGKILL)
             handle.proc.join(timeout=10.0)
 
@@ -226,8 +226,14 @@ class FederatedCoSimulation:
             offered += sum(demands.values()) * dt
             router_shed += decision.total_shed * dt
             cost += decision.cost_per_hour * dt / 3600.0
+            if self.workers:
+                # Scatter, then gather: every site worker computes the
+                # period while the parent collects in site order.
+                for name, handle in zip(names, handles):
+                    self._maybe_kill(name, handle, period)
+                    handle.post_advance(
+                        t_next, decision.assignments.get(name, 0.0))
             for name, handle in zip(names, handles):
-                self._maybe_kill(name, handle, period)
                 summaries[name] = handle.advance(
                     t_next, decision.assignments.get(name, 0.0))
             t = t_next

@@ -21,3 +21,41 @@ def spawned(monkeypatch):
     yield pids
     live = {p.pid for p in multiprocessing.active_children()}
     assert not live.intersection(pids)
+
+
+class PipeTraffic(list):
+    """``(event, label, until)`` per advance sent to or read from a
+    worker pipe, in wall order; ``event`` is ``"send"`` or ``"recv"``."""
+
+    def assert_scattered(self, labels) -> None:
+        """Every period is sent to all ``labels`` before any reply is
+        read."""
+        periods: dict[float, list] = {}
+        for event, label, until in self:
+            periods.setdefault(until, []).append((event, label))
+        assert periods
+        sends = sorted(("send", label) for label in labels)
+        for until, seq in periods.items():
+            assert sorted(seq[:len(sends)]) == sends, (until, seq)
+
+
+@pytest.fixture()
+def pipe_traffic(monkeypatch):
+    """Record the advance messages crossing every worker pipe."""
+    traffic = PipeTraffic()
+    send, recv = WorkerHandle._send, WorkerHandle._recv
+
+    def sending(self, message):
+        if message[0] == "advance":
+            traffic.append(("send", self.label, message[1]))
+        return send(self, message)
+
+    def receiving(self, message):
+        out = recv(self, message)
+        if message[0] == "advance":
+            traffic.append(("recv", self.label, message[1]))
+        return out
+
+    monkeypatch.setattr(WorkerHandle, "_send", sending)
+    monkeypatch.setattr(WorkerHandle, "_recv", receiving)
+    return traffic

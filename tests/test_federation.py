@@ -468,6 +468,16 @@ class TestTransportParity:
         assert len(spawned) == 2
         assert pipe.recoveries == {"dc0": 0, "dc1": 0}
 
+    def test_every_site_is_in_flight_before_any_reply(self,
+                                                      pipe_traffic):
+        # Scatter/gather: each period reaches every site worker before
+        # the parent reads a reply, so the sites compute it together.
+        ref = self._federation().run(3600.0)
+        assert pipe_traffic == []
+        assert self._federation(workers=True).run(3600.0) == ref
+        assert len(pipe_traffic) == 2 * 2 * 12
+        pipe_traffic.assert_scattered(["site 'dc0'", "site 'dc1'"])
+
     @pytest.mark.parametrize("victim", [0, 1])
     def test_chaos_kill_of_either_site_replays(self, victim, spawned):
         # SIGKILL either site's worker mid-run: restart-and-replay must

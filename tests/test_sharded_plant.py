@@ -227,6 +227,29 @@ class TestPollRecv:
             handle.close()
         assert not handle.proc.is_alive()
 
+    def test_advance_collects_a_posted_period(self):
+        """``advance`` takes the reply to a matching posted period; a
+        second request before that reply is collected is refused."""
+        from repro.datacenter.workers import WorkerHandle
+
+        sim = ShardedCoSimulation(_spec(), DEMAND, shards=2, workers=1)
+        (job,) = sim._jobs()
+        handle = WorkerHandle(job, recv_deadline_s=30.0)
+        try:
+            start = handle.ready()[0][1]
+            shares = {0: 0.5, 1: 0.5}
+            handle.post_advance(start + 300.0, shares)
+            with pytest.raises(RuntimeError, match="uncollected"):
+                handle.advance(start + 600.0, shares)
+            assert handle.advance(start + 300.0, shares) == [
+                (0, 4000.0), (1, 4000.0)]
+            handle.advance(start + 600.0, shares)
+            assert handle.completed_periods == 2
+            assert len(handle.log) == 3
+            handle.finish()
+        finally:
+            handle.close()
+
 
 def _worker_pids() -> set[int]:
     return {p.pid for p in multiprocessing.active_children()}
@@ -249,8 +272,110 @@ class _KillAt:
         return getattr(self._handle, name)
 
 
+class _KillPosted:
+    """A leased handle whose worker dies with one period posted.
+
+    The worker is stopped before the period is sent and killed after,
+    so it never replies: the parent finds the death while collecting.
+    """
+
+    def __init__(self, handle, period: int):
+        self._handle = handle
+        self._period = period
+
+    def post_advance(self, until, shares):
+        if self._handle.completed_periods != self._period:
+            return self._handle.post_advance(until, shares)
+        os.kill(self._handle.pid, signal.SIGSTOP)
+        self._handle.post_advance(until, shares)
+        os.kill(self._handle.pid, signal.SIGKILL)
+        self._handle.proc.join(timeout=10.0)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def _kill_posted_pool(victim: int, period: int, max_restarts=None):
+    """A pool whose ``victim`` handle dies with ``period`` posted in
+    its first run; later runs lease plain handles."""
+
+    class KillPostedPool(ShardWorkerPool):
+        runs = 0
+
+        def lease(self, jobs):
+            handles = super().lease(jobs)
+            self.runs += 1
+            if self.runs > 1:
+                return handles
+            if max_restarts is not None:
+                handles[victim].max_restarts = max_restarts
+            handles[victim] = _KillPosted(handles[victim], period)
+            return handles
+
+    return KillPostedPool(2)
+
+
 class TestShardWorkers:
     """Worker supervision: crash replay, pool reuse, cleanup."""
+
+    def test_every_worker_is_in_flight_before_any_reply(
+            self, pipe_traffic):
+        # Scatter/gather: each period reaches every worker before the
+        # parent reads a reply, so the workers compute it together.
+        spec = _spec()
+        ref = ShardedCoSimulation(spec, DEMAND, shards=4,
+                                  workers=1).run(3600.0)
+        assert pipe_traffic == []
+        par = ShardedCoSimulation(spec, DEMAND, shards=4, workers=2)
+        assert par.run(3600.0) == ref
+        assert len(pipe_traffic) == 2 * 2 * 12
+        pipe_traffic.assert_scattered(["shards [0, 2]", "shards [1, 3]"])
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_death_while_collecting_replays_that_worker(self, victim):
+        # The other worker's reply waits in its pipe while the dead one
+        # is respawned and replayed; only the victim restarts.
+        spec = _spec()
+        ref = ShardedCoSimulation(spec, DEMAND, shards=4,
+                                  workers=1).run(2 * 3600.0)
+        with _kill_posted_pool(victim, 5) as pool:
+            sim = ShardedCoSimulation(spec, DEMAND, shards=4, workers=2,
+                                      pool=pool)
+            assert sim.run(2 * 3600.0) == ref
+            assert [h.restarts for h in pool._handles] == [
+                int(w == victim) for w in range(2)]
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_death_while_collecting_names_shards_and_period(self, victim):
+        from repro.datacenter import ShardWorkerDied
+
+        label = ["shards [0, 2]", "shards [1, 3]"][victim]
+        with _kill_posted_pool(victim, 5, max_restarts=0) as pool:
+            sim = ShardedCoSimulation(_spec(), DEMAND, shards=4,
+                                      workers=2, pool=pool)
+            with pytest.raises(ShardWorkerDied) as err:
+                sim.run(2 * 3600.0)
+        assert str(err.value) == (
+            f"worker exceeded 0 restarts ({label}, last completed "
+            f"period 5)")
+
+    def test_pool_reuse_after_death_with_a_reply_in_flight(self):
+        # Worker 0 dies for good while worker 1 still owes its reply to
+        # the posted period: the next run on the pool must not read
+        # that stale reply.
+        from repro.datacenter import ShardWorkerDied
+
+        spec = _spec()
+        ref = ShardedCoSimulation(spec, DEMAND, shards=4,
+                                  workers=1).run(3600.0)
+        with _kill_posted_pool(0, 3, max_restarts=0) as pool:
+            first = ShardedCoSimulation(spec, DEMAND, shards=4,
+                                        workers=2, pool=pool)
+            with pytest.raises(ShardWorkerDied):
+                first.run(3600.0)
+            second = ShardedCoSimulation(spec, DEMAND, shards=4,
+                                         workers=2, pool=pool)
+            assert second.run(3600.0) == ref
 
     def test_pipe_and_pooled_workers_match_local(self, spawned):
         spec = _spec()
