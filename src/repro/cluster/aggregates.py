@@ -176,9 +176,8 @@ class FleetAggregate:
                 "roster_repaired": roster_repaired}
 
     def batcher(self):
-        """Bulk-mutation interface, or ``None`` (plain pools have none;
-        ``VectorAggregate`` overrides this when its wiring makes batch
-        updates exact)."""
+        """Bulk-mutation interface, or ``None``: plain pools have none,
+        and ``VectorAggregate`` returns itself."""
         return None
 
     def __repr__(self) -> str:
@@ -189,18 +188,16 @@ class FleetAggregate:
 def make_pool_aggregate(servers: typing.Sequence[Server],
                         recompute_every: int = RECOMPUTE_EVERY,
                         kind: str = "pool") -> FleetAggregate:
-    """Build the best aggregate for ``servers``.
+    """Build the aggregate for ``servers``.
 
-    Servers backed by a :class:`~repro.fleet.plant.VectorFleet` get
-    the vectorized aggregate matching ``kind`` (``"rack"`` claims a
-    contiguous rack slot, ``"pool"`` the whole fleet) when the pool
-    qualifies; everything else — plain servers, sub-pools, mixed
-    fleets — gets the classic :class:`FleetAggregate`, which behaves
-    identically.
+    Plain servers get the classic :class:`FleetAggregate`.  Servers
+    backed by a :class:`~repro.fleet.plant.VectorFleet` get the
+    vectorized aggregate matching ``kind`` (``"rack"`` claims a
+    contiguous rack slot, ``"pool"`` the whole fleet); a vector pool
+    the fleet's wiring rule refuses raises ``ValueError`` (see
+    :meth:`~repro.fleet.plant.VectorFleet.make_aggregate`).
     """
     fleet = getattr(servers[0], "_fleet", None) if servers else None
     if fleet is not None:
-        aggregate = fleet.make_aggregate(servers, recompute_every, kind)
-        if aggregate is not None:
-            return aggregate
+        return fleet.make_aggregate(servers, recompute_every, kind)
     return FleetAggregate(servers, recompute_every)

@@ -79,16 +79,6 @@ class Cluster:
         """Aggregate wall draw of the cluster (O(racks), not O(servers))."""
         return sum(rack.power_w() for rack in self.racks)
 
-    def rack_powers(self) -> list[float]:
-        """Per-rack wall draw, in rack order (one bulk read).
-
-        Element ``i`` is exactly ``self.racks[i].power_w()`` — the
-        vector cluster overrides this with a single column gather, so
-        physical-tick consumers can sweep every rack without a Python
-        call per rack.
-        """
-        return [rack.aggregate.power_w for rack in self.racks]
-
     def heat_by_zone(self) -> dict[str, float]:
         """Heat load per thermal zone — the cooling co-sim input."""
         heat: dict[str, float] = {}

@@ -84,10 +84,6 @@ class _ServingRoster:
     dispatch reads the index.
     """
 
-    #: Safe alongside the vector fleet's batch kernels: the roster
-    #: only reacts to state transitions, which batches never perform.
-    vector_batch_safe = True
-
     def __init__(self, farm: "RequestFarm"):
         self._farm = farm
 

@@ -69,14 +69,21 @@ def erlang_c(servers: int, offered_load: float) -> float:
 
 def mmc_wait_time(servers: int, arrival_rate: float,
                   service_rate: float) -> float:
-    """Mean queueing delay (excluding service) of M/M/c."""
+    """Mean queueing delay (excluding service) of M/M/c.
+
+    Unstable queues (a = λ/μ ≥ c) wait forever.  At the boundary the
+    ratio test and the spare rate ``c·μ − λ`` can disagree in floating
+    point (a rounds just below c while the spare rate rounds to 0), so
+    a non-positive spare rate counts as unstable too.
+    """
     if service_rate <= 0:
         raise ValueError("service rate must be positive")
     a = arrival_rate / service_rate
-    if a >= servers:
+    spare_rate = servers * service_rate - arrival_rate
+    if a >= servers or spare_rate <= 0.0:
         return float("inf")
     pw = erlang_c(servers, a)
-    return pw / (servers * service_rate - arrival_rate)
+    return pw / spare_rate
 
 
 def mmc_response_time(servers: int, arrival_rate: float,

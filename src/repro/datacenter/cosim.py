@@ -106,14 +106,12 @@ class CoSimulation:
 
         # Bring up the initial fleet synchronously in one fused boot
         # storm (one timer, column updates, bit-identical to
-        # per-server power_on); the scalar walk covers anything the
-        # storm's preconditions refuse.
+        # per-server power_on).
         n_start = (spec.total_servers if initial_active is None
                    else initial_active)
         booting = self.dc.servers[:n_start]
-        if booting and booting[0]._fleet.boot_many(booting) is None:
-            for server in booting:
-                server.power_on()
+        if booting:
+            booting[0]._fleet.boot_many(booting)
         self.env.run(until=spec.boot_s + 1.0)
 
         self.farm = ServerFarm(self.env, self.dc.servers,

@@ -49,8 +49,8 @@ class DataCenterSpec:
     server_idle_fraction: float = 0.6
     #: Exponent ``r`` of the Fan-et-al. calibrated power curve
     #: (1.0 = linear).  The fleet evaluates non-linear models through
-    #: its grouped libm-pow kernel — still batched, still bit-identical
-    #: to the scalar ``ServerPowerModel``.
+    #: its libm-pow kernel — still batched, still bit-identical to the
+    #: scalar ``ServerPowerModel``.
     server_nonlinearity: float = 1.0
     server_capacity: float = 100.0
     boot_s: float = 120.0
@@ -87,9 +87,8 @@ class DataCenterSpec:
                                  nonlinearity=self.server_nonlinearity)
 
         # --- compute: servers -> zoned racks -> cluster --------------
-        # One shared model: every server is identical anyway, so they
-        # all land in a single model group (the fused single-pass batch
-        # kernel) and each rack is one bulk row claim.
+        # One shared model (the vector fleet's rule) and one bulk row
+        # claim per rack.
         fleet = VectorFleet(env, self.total_servers)
         racks = []
         servers: list[VectorServer] = []
@@ -255,8 +254,7 @@ class DataCenter:
         if fast is not None:
             ups_node, pdu, leaves, leaf_dicts = fast
             demands_arr = self.cluster.rack_powers_array()
-            demands = (demands_arr.tolist() if demands_arr is not None
-                       else self.cluster.rack_powers())
+            demands = demands_arr.tolist()
             # One fused pass: leaf input == leaf demand (identity
             # efficiency, exact), folded left-to-right in child order
             # — bit-identical to the recursive walk it replaces.  The
@@ -269,8 +267,6 @@ class DataCenter:
                 if d["failed"]:
                     clean = False
             if clean:
-                if demands_arr is None:
-                    demands_arr = np.asarray(demands)
                 pdu_out = (float(np.cumsum(demands_arr)[-1])
                            if demands else 0.0)
             else:

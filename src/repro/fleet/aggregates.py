@@ -18,21 +18,13 @@ queries).  Each batch replays the scalar sequence bit-exactly:
 * the drift guard triggers at the exact same update counts, and the
   exact re-sum it performs is reproduced against a snapshot in which
   servers *after* the trigger point still hold their pre-update power;
-* power evaluation uses the fleet's grouped batch kernel (see
-  ``plant``), which is scalar-exact for every installed model —
-  uniform linear fleets take one fused pass, mixed tables and
-  non-linear models evaluate per model group.
+* power evaluation uses the fleet's batch kernel (see ``plant``),
+  which is scalar-exact for the fleet's one power model.
 
-Batches run only when :meth:`VectorAggregate.batcher` validates the
-wiring — every server watched by ``[its rack aggregate, this
-aggregate, *extras]``.  Extras marked ``vector_batch_safe`` are
-skipped entirely; any other extra exposing ``power_changed`` is
-replayed scalar-style, one delta per changed server in pool order,
-*after* the rack and farm folds (the three accumulators are disjoint,
-so each watcher sees exactly its scalar delta subsequence).  Only
-genuinely foreign wiring — sub-pool aggregates in the rack/farm
-slots, or watchers without ``power_changed`` — falls back to the
-scalar paths, which remain correct on vector views.
+The fleet checks its wiring as it is built (see ``plant``): every
+server is watched by exactly its rack aggregate and this aggregate.
+So a batch always folds into those two and nothing else, and
+:meth:`VectorAggregate.batcher` is simply ``self``.
 """
 
 from __future__ import annotations
@@ -50,24 +42,22 @@ __all__ = ["VectorAggregate", "VectorRackAggregate"]
 class VectorAggregate(FleetAggregate):
     """Whole-fleet pool aggregate with batch kernels."""
 
-    __slots__ = ("_fleet", "_active_idx", "_wiring_epoch_seen",
-                 "_wiring_ok", "_extra_watchers", "_dispatch_memo",
+    __slots__ = ("_fleet", "_active_idx", "_dispatch_memo",
                  "_util_memo", "_resp_memo")
 
     def __init__(self, fleet: VectorFleet, servers: typing.Sequence,
                  recompute_every: int):
         self._fleet = fleet
         self._active_idx: np.ndarray | None = None
-        self._wiring_epoch_seen = -1
-        self._wiring_ok = False
-        self._extra_watchers: dict[int, tuple] | None = None
         # Fused sense-pipeline memos, all keyed on the fleet's
         # mutation epoch (see VectorFleet.mutation_epoch).
         self._dispatch_memo: tuple | None = None
         self._util_memo: tuple | None = None
         self._resp_memo: tuple | None = None
+        # Registered first: the servers' add_watcher accepts only
+        # the fleet's pool as their second watcher.
+        fleet.pool_agg = self
         super().__init__(servers, recompute_every)
-        fleet.farm_aggs.append(self)
 
     # ------------------------------------------------------------------
     # Scalar watcher protocol (roster cache gains an index twin)
@@ -117,51 +107,12 @@ class VectorAggregate(FleetAggregate):
                 "roster_repaired": roster_repaired}
 
     # ------------------------------------------------------------------
-    # Batch gate
+    # Batch mutators
     # ------------------------------------------------------------------
-    def _wiring_valid(self) -> bool:
-        fleet = self._fleet
-        if self._wiring_epoch_seen == fleet._wiring_epoch:
-            return self._wiring_ok
-        self._wiring_epoch_seen = fleet._wiring_epoch
-        extras: dict[int, tuple] = {}
-        ok = fleet.n_claimed == fleet.n
-        if ok:
-            racks = fleet.rack_aggs
-            slots = fleet.rack_slot
-            for i, server in enumerate(fleet.objs):
-                slot = slots[i]
-                watchers = server._watchers
-                if (slot < 0 or len(watchers) < 2
-                        or watchers[0] is not racks[slot]
-                        or watchers[1] is not self):
-                    ok = False
-                    break
-                if len(watchers) > 2:
-                    # Batch-safe extras need no notification; anything
-                    # else with power_changed gets a scalar replay per
-                    # changed row (see _fold_power_deltas).
-                    row = tuple(
-                        w for w in watchers[2:]
-                        if not getattr(w, "vector_batch_safe", False))
-                    if row:
-                        if any(not callable(getattr(w, "power_changed",
-                                                    None))
-                               for w in row):
-                            ok = False
-                            break
-                        extras[i] = row
-        self._extra_watchers = extras if ok and extras else None
-        self._wiring_ok = ok
-        return ok
+    def batcher(self) -> "VectorAggregate":
+        """This aggregate: its wiring was checked at construction."""
+        return self
 
-    def batcher(self) -> "VectorAggregate | None":
-        """This aggregate when batch mutation is exact, else ``None``."""
-        return self if self._wiring_valid() else None
-
-    # ------------------------------------------------------------------
-    # Batch mutators (callers hold a validated batcher)
-    # ------------------------------------------------------------------
     def zero_inactive(self) -> None:
         """Zero offered load on non-ACTIVE servers, in pool order.
 
@@ -239,20 +190,16 @@ class VectorAggregate(FleetAggregate):
             return
         # Ascending unique rows covering the whole fleet are exactly
         # ``arange(n)``; slice stores/views then replace every fancy
-        # gather (uniform-linear only — grouped kernels mask by fancy
-        # index).  The delta fold below keeps the row array: it
+        # gather.  The delta fold below keeps the row array: it
         # gathers changed rows only, usually none.
-        rows = (slice(None)
-                if (idx.size == fleet.state_code.size
-                    and fleet.uniform_linear) else idx)
+        rows = slice(None) if idx.size == fleet.state_code.size else idx
         now = fleet.env.now
         oldp = fleet.power[rows].copy()
         fleet.energy_j[rows] += oldp * (now - fleet.t_last[rows])
         fleet.t_last[rows] = now
         fleet.pstate[rows] = index
         tstates = fleet.tstate[rows]
-        eff = fleet.capacity[rows] * fleet._cap_fractions(rows, index,
-                                                          tstates)
+        eff = fleet.capacity[rows] * fleet._cap_fractions(index, tstates)
         fleet.eff_cap[rows] = eff
         newp = fleet._active_power(rows, fleet.offered[rows], eff,
                                    index, tstates)
@@ -307,20 +254,6 @@ class VectorAggregate(FleetAggregate):
         deltas = newp[changed] - old
         self._fleet._fold_rack_deltas(fidx, old, deltas)
         self._fold_farm_deltas(fidx, old, deltas)
-        extras = self._extra_watchers
-        if extras is not None:
-            # Scalar replay for non-batch-safe extras: one delta per
-            # changed server, in pool (= mutation) order.  Runs after
-            # the rack/farm folds; the accumulators are disjoint, so
-            # each watcher still sees exactly its scalar subsequence.
-            objs = self._fleet.objs
-            for j, row in enumerate(fidx.tolist()):
-                row_extras = extras.get(row)
-                if row_extras is not None:
-                    server = objs[row]
-                    delta = float(deltas[j])
-                    for w in row_extras:
-                        w.power_changed(server, delta)
 
     def _fold_farm_deltas(self, fidx: np.ndarray, old: np.ndarray,
                           deltas: np.ndarray) -> None:
@@ -352,7 +285,7 @@ class VectorAggregate(FleetAggregate):
         self._updates = updates
 
     # ------------------------------------------------------------------
-    # Vectorized read-only queries (exact regardless of wiring)
+    # Vectorized read-only queries
     # ------------------------------------------------------------------
     def committed_count(self) -> int:
         return self._fleet.committed_count()
@@ -362,9 +295,6 @@ class VectorAggregate(FleetAggregate):
 
     def pick_startable_many(self, quarantined, count: int) -> list:
         return self._fleet.pick_startable_many(quarantined, count)
-
-    def total_demand_w(self) -> float | None:
-        return self._fleet.total_demand_w()
 
     def mean_utilization_active(self) -> float:
         """Mean utilization over the (non-empty) active set.

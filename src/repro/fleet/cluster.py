@@ -13,9 +13,9 @@ fleet's rack columns:
 * ``power_w`` / ``count_in`` / ``total_effective_capacity`` become
   array folds over the same columns in pool order.
 
-Any rack without a vector slot (or without a zone) drops the whole
-cluster back to the inherited object-path implementations, which work
-on views too.
+The rack→zone index is built once, at construction: every rack must be
+a zoned vector rack of one fleet, or the constructor raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.cluster.rack import Cluster, Rack
 from repro.cluster.server import ServerState
+from repro.fleet.aggregates import VectorRackAggregate
 from repro.fleet.plant import _STATE_TO_CODE, C_ACTIVE
 
 __all__ = ["VectorCluster"]
@@ -36,97 +37,56 @@ class VectorCluster(Cluster):
 
     def __init__(self, name: str, racks: typing.Sequence[Rack]):
         super().__init__(name, racks)
-        self._prep_cache = None
-
-    def _prep(self):
-        """(slots, rack→zone ids, zone names, rows, fleet) or ``None``.
-
-        Built once: rack membership and zones are fixed after
-        construction.  ``None`` (cached as ``()``) means at least one
-        rack lacks a vector slot or a zone — fall back to the object
-        paths.
-        """
-        prep = self._prep_cache
-        if prep is not None:
-            return prep or None
         fleet = None
-        slots: list[int] = []
-        zone_ids: list[int] = []
-        zone_names: list[str] = []
         zone_index: dict[str, int] = {}
-        ranges: list[np.ndarray] = []
+        zone_ids: list[int] = []
         for rack in self.racks:
             aggregate = rack.aggregate
-            slot = getattr(aggregate, "_slot", None)
-            if slot is None or rack.zone is None:
-                self._prep_cache = ()
-                return None
+            if not isinstance(aggregate, VectorRackAggregate):
+                raise ValueError(
+                    f"rack {rack.name} is not a vector-fleet rack")
             if fleet is None:
                 fleet = aggregate._fleet
             elif aggregate._fleet is not fleet:
-                self._prep_cache = ()
-                return None
-            zid = zone_index.get(rack.zone)
-            if zid is None:
-                zid = zone_index[rack.zone] = len(zone_names)
-                zone_names.append(rack.zone)
-            slots.append(slot)
-            zone_ids.append(zid)
-            ranges.append(np.arange(aggregate._lo, aggregate._hi))
-        prep = (np.asarray(slots), np.asarray(zone_ids), zone_names,
-                np.concatenate(ranges), fleet)
-        self._prep_cache = prep
-        return prep
+                raise ValueError(
+                    f"rack {rack.name} belongs to another fleet")
+            if rack.zone is None:
+                raise ValueError(f"rack {rack.name} has no zone")
+            zone_ids.append(zone_index.setdefault(rack.zone,
+                                                  len(zone_index)))
+        self._fleet = fleet
+        self._slots = np.asarray([r.aggregate._slot for r in self.racks])
+        self._zone_ids = np.asarray(zone_ids)
+        self._zone_names = list(zone_index)
+        self._rows = np.concatenate([
+            np.arange(r.aggregate._lo, r.aggregate._hi)
+            for r in self.racks])
 
     def power_w(self) -> float:
-        prep = self._prep()
-        if prep is None:
-            return super().power_w()
-        slots, _, _, _, fleet = prep
-        return float(np.cumsum(fleet.rack_power[slots])[-1])
+        return float(np.cumsum(self._fleet.rack_power[self._slots])[-1])
 
-    def rack_powers(self) -> list[float]:
-        prep = self._prep()
-        if prep is None:
-            return super().rack_powers()
-        slots, _, _, _, fleet = prep
-        return fleet.rack_power[slots].tolist()
-
-    def rack_powers_array(self) -> "np.ndarray | None":
-        """Rack draws as one float column, or ``None`` off the fast
-        path.  Same values as :meth:`rack_powers` — the physical sync
-        folds this directly instead of round-tripping a Python list."""
-        prep = self._prep()
-        if prep is None:
-            return None
-        slots, _, _, _, fleet = prep
-        return fleet.rack_power[slots]
+    def rack_powers_array(self) -> np.ndarray:
+        """Rack draws as one float column, in rack order: element ``i``
+        is exactly ``self.racks[i].power_w()``."""
+        return self._fleet.rack_power[self._slots]
 
     def heat_by_zone(self) -> dict[str, float]:
-        prep = self._prep()
-        if prep is None:
-            return super().heat_by_zone()
-        slots, zone_ids, zone_names, _, fleet = prep
-        sums = np.bincount(zone_ids, weights=fleet.rack_power[slots],
-                           minlength=len(zone_names))
-        return {name: float(sums[i])
-                for i, name in enumerate(zone_names)}
+        names = self._zone_names
+        sums = np.bincount(self._zone_ids,
+                           weights=self._fleet.rack_power[self._slots],
+                           minlength=len(names))
+        return {name: float(sums[i]) for i, name in enumerate(names)}
 
     def count_in(self, state: ServerState) -> int:
-        prep = self._prep()
-        if prep is None:
-            return super().count_in(state)
-        slots, _, _, rows, fleet = prep
+        fleet = self._fleet
         if state is ServerState.ACTIVE:
-            return int(fleet.rack_active[slots].sum())
+            return int(fleet.rack_active[self._slots].sum())
         code = _STATE_TO_CODE[state]
-        return int(np.count_nonzero(fleet.state_code[rows] == code))
+        return int(np.count_nonzero(fleet.state_code[self._rows] == code))
 
     def total_effective_capacity(self) -> float:
-        prep = self._prep()
-        if prep is None:
-            return super().total_effective_capacity()
-        _, _, _, rows, fleet = prep
+        fleet = self._fleet
+        rows = self._rows
         active = rows[fleet.state_code[rows] == C_ACTIVE]
         if active.size == 0:
             return 0.0

@@ -18,16 +18,26 @@ that replay the exact same IEEE operation sequence (left folds via
 ``np.cumsum``, elementwise min/clip, sequential ``np.bincount``).  The
 vector-fleet tests pin each kernel against plain ``Server`` twins.
 
-Power models are organised into *model groups*: every distinct
-(P/T-state table contents, nonlinearity) pair installed on the fleet
-gets one group, and each server row carries its group id.  Batch power
-evaluation runs per group — the single-linear-group fleet (the
-overwhelmingly common case) keeps the original fused kernel, while
-mixed tables and non-linear models evaluate group by group with the
-same scalar-exact arithmetic.  Non-linear shapes use element-wise
-``math.pow`` (libm) rather than ``np.power``, because Python's
-``u ** r`` and ``np.power`` differ by 1 ulp on some inputs; the
-element-wise path is bit-identical to the scalar model.
+A fleet is wired one way, and the wiring is checked as it is built,
+never at run time:
+
+* **one power model** — every server shares the P/T-state table
+  contents and nonlinearity of the first model installed (per-server
+  idle/dynamic watts are columns and may differ); a model with other
+  contents raises ``ValueError``;
+* **contiguous racks, then one pool** — ``make_aggregate`` claims
+  disjoint contiguous row ranges as racks, then one whole-fleet pool
+  aggregate once every row has a rack; anything else raises
+  ``ValueError``;
+* **two watchers per server** — ``VectorServer.add_watcher`` accepts
+  the server's rack aggregate, then the fleet's pool aggregate, and
+  raises ``TypeError`` for anything else.
+
+So every batch kernel can fold into exactly one rack and one pool.  A
+linear model takes one fused pass; a non-linear one evaluates its
+shape with element-wise ``math.pow`` (libm) rather than ``np.power``,
+because Python's ``u ** r`` and ``np.power`` differ by 1 ulp on some
+inputs — the element-wise path is bit-identical to the scalar model.
 """
 
 from __future__ import annotations
@@ -64,25 +74,6 @@ def _pow_elements(x: np.ndarray, r: float) -> np.ndarray:
     """
     return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(r)),
                        np.float64, count=x.size)
-
-
-class _ModelGroup:
-    """One distinct (P/T-state table, nonlinearity) combination.
-
-    ``cap`` / ``dyn`` are the table's memoized fraction matrices as
-    float64 arrays; ``has_t`` mirrors the scalar model's *"if
-    table.tstates"* branch (tables without T-states always read
-    column 0 regardless of the commanded T-state).
-    """
-
-    __slots__ = ("cap", "dyn", "r", "has_t", "n_pstates")
-
-    def __init__(self, table, r: float):
-        self.cap = np.array(table._cap_frac, dtype=np.float64)
-        self.dyn = np.array(table._dyn_frac, dtype=np.float64)
-        self.r = float(r)
-        self.has_t = bool(table.tstates)
-        self.n_pstates = len(table.pstates)
 
 
 class EnergyMeter:
@@ -157,8 +148,8 @@ class VectorFleet:
     Construct with the exact fleet size, then create ``n``
     :class:`VectorServer` views against it.  Aggregation objects are
     obtained through :meth:`make_aggregate` (racks claim contiguous
-    slots; the farm-wide pool gets the vectorized
-    :class:`~repro.fleet.aggregates.VectorAggregate`).
+    slots, then the whole fleet gets one
+    :class:`~repro.fleet.aggregates.VectorAggregate` pool).
     """
 
     def __init__(self, env: Environment, n: int):
@@ -192,9 +183,6 @@ class VectorFleet:
         self.objs: list = [None] * n
         self.zone_names: list[str] = []
         self._zone_ids: dict[str, int] = {}
-        #: Bumped by ``VectorServer.add_watcher`` and rack registration;
-        #: aggregates re-validate batch wiring when it moves.
-        self._wiring_epoch = 0
         #: Bumped whenever a dispatch-relevant column changes —
         #: lifecycle state, offered load, effective capacity,
         #: capacity, P/T-state, power cap.  The farm aggregate's
@@ -205,22 +193,15 @@ class VectorFleet:
         #: cache hit.  Power/energy columns deliberately do *not*
         #: bump (they are outputs of dispatch, not inputs).
         self.mutation_epoch = 0
-        # Model groups: one per distinct (table contents, r) pair.
-        # ``cap_frac`` / ``dyn_frac`` alias group 0's tables so the
-        # single-group fast paths can index them directly.
-        self.groups: list[_ModelGroup] = []
-        self.group_id = np.zeros(n, dtype=np.int32)
-        self._group_by_table: dict[tuple, int] = {}
-        self._group_by_content: dict[tuple, int] = {}
+        # The fleet's one power model (see ``_adopt_model``):
+        # fraction matrices of its P/T-state table as float64 arrays,
+        # and its utilization-shape exponent.
+        self._table = None
         self.cap_frac: np.ndarray | None = None
         self.dyn_frac: np.ndarray | None = None
+        self.has_tstates = False
         self.n_pstates = 0
-        self.n_tstates = 0
-        #: True while every installed model shares one fraction table
-        #: (with T-states) and is linear (r == 1.0) — the single-group
-        #: fast path; grouped evaluation covers everything else with
-        #: the same scalar-exact arithmetic.
-        self.uniform_linear = False
+        self.nonlinearity = 1.0
         # Rack slots (amortized-doubling columns, like server rows).
         self.n_racks = 0
         cap = 8
@@ -231,7 +212,8 @@ class VectorFleet:
         self.rack_lo = np.zeros(cap, dtype=np.int64)
         self.rack_hi = np.zeros(cap, dtype=np.int64)
         self.rack_aggs: list = []
-        self.farm_aggs: list = []
+        #: The whole-fleet pool aggregate, once one is made.
+        self.pool_agg = None
 
     # ------------------------------------------------------------------
     # Row lifecycle
@@ -272,6 +254,7 @@ class VectorFleet:
             raise ValueError("transition latencies cannot be negative")
         if sleep_w < 0 or sleep_w > power_model.peak_w:
             raise ValueError(f"sleep_w {sleep_w} outside [0, peak]")
+        self._adopt_model(power_model)
         count = len(names)
         if count == 0:
             return []
@@ -329,54 +312,44 @@ class VectorFleet:
         self.other_dyn_w[rows] = power_model._other_dynamic_w
         self.off_w[rows] = power_model.off_w
         self.boot_w[rows] = power_model.boot_w
-        self.group_id[rows] = self._group_for(power_model)
         self.mutation_epoch += 1
         return servers
 
     def _install_model(self, idx: int, model: ServerPowerModel) -> None:
+        self._adopt_model(model)
         self.idle_w[idx] = model._idle_w
         self.cpu_dyn_w[idx] = model._cpu_dynamic_w
         self.other_dyn_w[idx] = model._other_dynamic_w
         self.off_w[idx] = model.off_w
         self.boot_w[idx] = model.boot_w
-        self.group_id[idx] = self._group_for(model)
 
-    def _group_for(self, model: ServerPowerModel) -> int:
-        """Group id for ``model``, deduplicated by table *contents*.
+    def _adopt_model(self, model: ServerPowerModel) -> None:
+        """Make ``model``'s state table the fleet's, or check it matches.
 
-        Same-object tables resolve through an identity cache; distinct
-        table objects with equal fraction matrices share a group (the
-        matrices are what evaluation reads, so equal contents means
-        bit-identical results).
+        The batch kernels read one P/T-state table and one
+        nonlinearity.  A later model must match them by *contents* —
+        distinct table objects with equal fraction matrices give
+        bit-identical results — or the fleet refuses it.
         """
         table = model.pstates
-        key = (id(table), model.nonlinearity)
-        gid = self._group_by_table.get(key)
-        if gid is not None:
-            return gid
-        content = (model.nonlinearity, bool(table.tstates),
-                   tuple(map(tuple, table._cap_frac)),
-                   tuple(map(tuple, table._dyn_frac)))
-        gid = self._group_by_content.get(content)
-        if gid is None:
-            gid = len(self.groups)
-            group = _ModelGroup(table, model.nonlinearity)
-            self.groups.append(group)
-            self._group_by_content[content] = gid
-            if gid == 0:
-                self.cap_frac = group.cap
-                self.dyn_frac = group.dyn
-                self.n_pstates = group.n_pstates
-                self.n_tstates = len(table.tstates)
-            else:
-                # Mixed fleets validate batch P-state commands against
-                # the shortest ladder, so a batch either applies to
-                # every active server or raises before mutating.
-                self.n_pstates = min(self.n_pstates, group.n_pstates)
-            self.uniform_linear = (len(self.groups) == 1
-                                   and group.has_t and group.r == 1.0)
-        self._group_by_table[key] = gid
-        return gid
+        r = float(model.nonlinearity)
+        known = self._table
+        if known is None:
+            self._table = table
+            self.cap_frac = np.array(table._cap_frac, dtype=np.float64)
+            self.dyn_frac = np.array(table._dyn_frac, dtype=np.float64)
+            self.has_tstates = bool(table.tstates)
+            self.n_pstates = len(table.pstates)
+            self.nonlinearity = r
+            return
+        if r == self.nonlinearity and (table is known or (
+                bool(table.tstates) == self.has_tstates
+                and table._cap_frac == known._cap_frac
+                and table._dyn_frac == known._dyn_frac)):
+            return
+        raise ValueError(
+            "a vector fleet runs one power model: this model's P/T-state "
+            "table or nonlinearity differs from the fleet's")
 
     def _zone_code(self, name: str | None) -> int:
         if name is None:
@@ -392,39 +365,46 @@ class VectorFleet:
     # ------------------------------------------------------------------
     def make_aggregate(self, servers: typing.Sequence, recompute_every: int,
                        kind: str = "pool"):
-        """Vectorized aggregate over ``servers``, or ``None``.
+        """The vectorized aggregate of ``kind`` over ``servers``.
 
-        ``kind="rack"`` claims a contiguous unclaimed row range as a
-        rack slot; ``kind="pool"`` requires the whole (fully claimed)
-        fleet.  Anything else — sub-pools, overlapping racks, foreign
-        servers — returns ``None`` and the caller falls back to the
-        plain object-path :class:`FleetAggregate`, which works on
-        views too.
+        ``kind="rack"`` claims a contiguous row range no other rack
+        holds; ``kind="pool"`` covers the whole fleet, once, after
+        every row has a rack.  Anything else — foreign or
+        non-contiguous servers, overlapping racks, sub-pools, a second
+        pool, a pool before the racks — raises ``ValueError``.
         """
         from repro.fleet.aggregates import (
             VectorAggregate,
             VectorRackAggregate,
         )
-        try:
-            idxs = [s._idx for s in servers]
-        except AttributeError:
-            return None
+        if kind not in ("rack", "pool"):
+            raise ValueError(f"unknown aggregate kind {kind!r}")
+        idxs = [getattr(s, "_idx", -1) for s in servers]
         if not idxs:
-            return None
+            raise ValueError(f"a {kind} aggregate needs servers")
         lo, hi = idxs[0], idxs[-1] + 1
-        if idxs != list(range(lo, hi)):
-            return None
         objs = self.objs
-        if any(objs[i] is not s for i, s in zip(idxs, servers)):
-            return None
+        if (lo < 0 or hi > self.n or idxs != list(range(lo, hi))
+                or any(objs[i] is not s for i, s in zip(idxs, servers))):
+            raise ValueError(
+                f"a {kind} aggregate needs a contiguous run of this "
+                f"fleet's servers, in row order")
         if kind == "rack":
             if bool((self.rack_slot[lo:hi] >= 0).any()):
-                return None
+                raise ValueError(
+                    f"rows {lo}..{hi - 1} overlap an existing rack")
             return VectorRackAggregate(self, lo, hi, servers,
                                        recompute_every)
-        if lo == 0 and hi == self.n and self.n_claimed == self.n:
-            return VectorAggregate(self, servers, recompute_every)
-        return None
+        if lo != 0 or hi != self.n:
+            raise ValueError(
+                f"a pool aggregate covers the whole fleet ({self.n} "
+                f"rows), not rows {lo}..{hi - 1}")
+        if self.pool_agg is not None:
+            raise ValueError("the fleet already has a pool aggregate")
+        if bool((self.rack_slot < 0).any()):
+            raise ValueError(
+                "build every rack before the pool aggregate")
+        return VectorAggregate(self, servers, recompute_every)
 
     def _register_rack(self, agg, lo: int, hi: int,
                        recompute_every: int) -> int:
@@ -443,104 +423,58 @@ class VectorFleet:
         self.rack_slot[lo:hi] = slot
         self.rack_aggs.append(agg)
         self.n_racks = slot + 1
-        self._wiring_epoch += 1
         return slot
 
     # ------------------------------------------------------------------
     # Batch power kernel (bit-identical to the scalar model)
     # ------------------------------------------------------------------
-    def _active_power(self, idx: np.ndarray, offered: np.ndarray,
-                      eff: np.ndarray, p, t) -> np.ndarray:
+    def _table_index(self, p, t) -> tuple:
+        """(p, t) as indices into the fraction matrices.
+
+        Uniform P-/T-state columns (the common case after a batch
+        command) collapse to one scalar table lookup — the same entry
+        every row would gather, so the broadcast result is
+        element-for-element identical.  Tables without T-states read
+        column 0 whatever the commanded T-state, like the scalar
+        lookup.
+        """
+        if isinstance(p, np.ndarray) and p.size and (p == p[0]).all():
+            p = int(p[0])
+        if not self.has_tstates:
+            t = 0
+        elif isinstance(t, np.ndarray) and t.size and (t == t[0]).all():
+            t = int(t[0])
+        return p, t
+
+    def _active_power(self, idx, offered: np.ndarray, eff: np.ndarray,
+                      p, t) -> np.ndarray:
         """Wall power of ACTIVE rows — the scalar model, vectorized.
 
         Replays ``ServerPowerModel.power`` term for term: same
         divisions, same clamps, same left-to-right products, so each
         element is the bit-exact scalar result.  ``eff`` must be the
         effective capacity at the queried (p, t) — strictly positive
-        for ACTIVE rows.  The uniform-linear fleet takes one fused
-        pass; everything else evaluates per model group (non-linear
-        shapes through element-wise libm pow).
+        for ACTIVE rows.  A linear model takes one fused pass; a
+        non-linear one shapes utilization through element-wise libm
+        pow.
         """
-        if self.uniform_linear:
-            # Uniform P-/T-state columns (the common case after a
-            # batch command) collapse to one scalar table lookup —
-            # the same table entry every row would gather, so the
-            # broadcast product is element-for-element identical.
-            if isinstance(p, np.ndarray) and p.size and (p == p[0]).all():
-                p = int(p[0])
-            if isinstance(t, np.ndarray) and t.size and (t == t[0]).all():
-                t = int(t[0])
-            u = np.minimum(offered / eff, 1.0)
-            cap = self.cap_frac[p, t]
-            scale = self.dyn_frac[p, t]
-            tt = np.clip(u * cap, 0.0, 1.0)
-            return (self.idle_w[idx] + u * self.cpu_dyn_w[idx] * scale
-                    + tt * self.other_dyn_w[idx])
-        out = np.empty(idx.size, dtype=np.float64)
-        for gid, m, rows in self._group_masks(idx):
-            group = self.groups[gid]
-            p_g = p[m] if isinstance(p, np.ndarray) else p
-            if group.has_t:
-                t_g = t[m] if isinstance(t, np.ndarray) else t
-            else:
-                t_g = 0
-            cap = group.cap[p_g, t_g]
-            scale = group.dyn[p_g, t_g]
-            u = np.minimum(offered[m] / eff[m], 1.0)
-            r = group.r
-            if r == 1.0:
-                cpu_shape = u
-                other_shape = np.clip(u * cap, 0.0, 1.0)
-            else:
-                cpu_shape = np.minimum(2.0 * u - _pow_elements(u, r), 1.0)
-                tt = np.clip(u * cap, 0.0, 1.0)
-                other_shape = np.minimum(2.0 * tt - _pow_elements(tt, r),
-                                         1.0)
-            out[m] = (self.idle_w[rows]
-                      + cpu_shape * self.cpu_dyn_w[rows] * scale
-                      + other_shape * self.other_dyn_w[rows])
-        return out
+        p, t = self._table_index(p, t)
+        cap = self.cap_frac[p, t]
+        scale = self.dyn_frac[p, t]
+        u = np.minimum(offered / eff, 1.0)
+        tt = np.clip(u * cap, 0.0, 1.0)
+        r = self.nonlinearity
+        if r != 1.0:
+            u = np.minimum(2.0 * u - _pow_elements(u, r), 1.0)
+            tt = np.minimum(2.0 * tt - _pow_elements(tt, r), 1.0)
+        return (self.idle_w[idx] + u * self.cpu_dyn_w[idx] * scale
+                + tt * self.other_dyn_w[idx])
 
-    def _group_masks(self, idx: np.ndarray):
-        """Yield ``(gid, mask, rows)`` per model group present in ``idx``.
-
-        ``mask`` selects the group's positions within ``idx`` and
-        ``rows`` the corresponding fleet rows.  Single-group fleets
-        yield one full-coverage slice without any masking cost.
-        """
-        if len(self.groups) == 1:
-            yield 0, slice(None), idx
-            return
-        gids = self.group_id[idx]
-        for gid in np.unique(gids).tolist():
-            m = gids == gid
-            yield gid, m, idx[m]
-
-    def _cap_fractions(self, idx: np.ndarray, p, t) -> np.ndarray:
-        """Per-row capacity fraction at (p, t), honoring model groups.
-
-        The batch twin of ``PStateTable.capacity_fraction`` — tables
-        without T-states read column 0 just like the scalar lookup.
-        """
-        if self.uniform_linear:
-            # Same uniform-column collapse as the batch power kernel:
-            # one scalar lookup broadcasts to the identical per-row
-            # fractions a gathered index would produce.
-            if isinstance(p, np.ndarray) and p.size and (p == p[0]).all():
-                p = int(p[0])
-            if isinstance(t, np.ndarray) and t.size and (t == t[0]).all():
-                t = int(t[0])
-            return self.cap_frac[p, t]
-        out = np.empty(idx.size, dtype=np.float64)
-        for gid, m, _rows in self._group_masks(idx):
-            group = self.groups[gid]
-            p_g = p[m] if isinstance(p, np.ndarray) else p
-            if group.has_t:
-                t_g = t[m] if isinstance(t, np.ndarray) else t
-            else:
-                t_g = 0
-            out[m] = group.cap[p_g, t_g]
-        return out
+    def _cap_fractions(self, p, t):
+        """Capacity fraction at (p, t) — the batch twin of
+        ``PStateTable.capacity_fraction``."""
+        p, t = self._table_index(p, t)
+        return self.cap_frac[p, t]
 
     def _fold_rack_deltas(self, fidx: np.ndarray, old: np.ndarray,
                           deltas: np.ndarray) -> None:
@@ -608,7 +542,7 @@ class VectorFleet:
         self.rack_updates[slot] = updates
 
     # ------------------------------------------------------------------
-    # Read-only fleet scans (exact regardless of wiring)
+    # Read-only fleet scans
     # ------------------------------------------------------------------
     def gather(self, rows: np.ndarray) -> list:
         """The server views at ``rows``, in row order."""
@@ -668,13 +602,9 @@ class VectorFleet:
                 break
         return picked
 
-    def total_demand_w(self) -> float | None:
-        """Uncapped fleet demand (the capper input), or ``None`` when
-        the fleet has unclaimed rows (callers fall back to the scalar
-        fold).  Mixed tables and non-linear models evaluate through
-        the grouped kernel."""
-        if self.n_claimed != self.n:
-            return None
+    def total_demand_w(self) -> float:
+        """Uncapped fleet demand (the capper input): ``demand_w()``
+        summed over the rows in pool order."""
         code = self.state_code
         demand = self.off_w.copy()          # OFF and FAILED rows
         mask = (code == C_BOOTING) | (code == C_WAKING)
@@ -685,14 +615,10 @@ class VectorFleet:
         if active.size:
             # ``flatnonzero`` rows are ascending and unique, so a
             # full-coverage active set IS ``arange(n)``: slice views
-            # replace every per-column gather (uniform-linear fleets
-            # only — the grouped kernel masks by fancy index).
-            rows = (slice(None)
-                    if (active.size == code.size
-                        and self.uniform_linear) else active)
+            # replace every per-column gather.
+            rows = slice(None) if active.size == code.size else active
             p = self.pstate[rows]
-            cap0 = self.capacity[rows] * self._cap_fractions(
-                rows, p, 0)
+            cap0 = self.capacity[rows] * self._cap_fractions(p, 0)
             demand[rows] = self._active_power(
                 rows, self.offered[rows], cap0, p, 0)
         return float(np.cumsum(demand)[-1])
@@ -704,7 +630,7 @@ class VectorFleet:
     # ------------------------------------------------------------------
     # Fused boot storm
     # ------------------------------------------------------------------
-    def boot_many(self, servers) -> "object | None":
+    def boot_many(self, servers):
         """Boot a batch of OFF servers in one fused storm.
 
         Replays exactly what ``server.power_on()`` per server would do
@@ -716,47 +642,41 @@ class VectorFleet:
         where tens of thousands of scalar OFF→BOOTING→ACTIVE walks
         dominate construction time.
 
-        Preconditions (else returns ``None`` and the caller falls back
-        to scalar ``power_on`` calls, which are always correct): every
-        server is a view on this fleet and currently OFF, rows are in
-        ascending pool order, boot times are uniform, per-row capacity
-        at the current P/T-state is positive, and each server's only
-        watcher is its rack aggregate — true during plant bring-up,
-        before any farm/balancer aggregate attaches.  Returns the
-        shared transition event (servers' ``_transition`` points at
-        it, so a mid-boot ``power_on()`` still returns a live event).
+        Preconditions (else ``ValueError``, before anything changes):
+        a non-empty batch of this fleet's racked servers, each OFF
+        with no transition in flight, in ascending pool order, with
+        one boot time and positive capacity at the current P/T-state,
+        and no pool aggregate yet — plant bring-up, before the farm
+        attaches.  Returns the shared transition event (servers'
+        ``_transition`` points at it, so a mid-boot ``power_on()``
+        still returns a live event).
         """
         if not servers:
-            return None
+            raise ValueError("boot_many needs at least one server")
+        if self.pool_agg is not None:
+            raise ValueError(
+                "boot_many runs before the pool aggregate attaches")
+        boot_s = servers[0].boot_s
+        for s in servers:
+            if (getattr(s, "_fleet", None) is not self
+                    or s._transition is not None or s.boot_s != boot_s):
+                raise ValueError(
+                    f"boot_many needs idle servers of this fleet with "
+                    f"one boot time; {s.name} is not one")
+        rows = np.fromiter((s._idx for s in servers), np.int64,
+                           count=len(servers))
         rack_aggs = self.rack_aggs
         rack_slot = self.rack_slot
-        rows_list = []
-        boot_s = None
-        prev = -1
-        for s in servers:
-            if getattr(s, "_fleet", None) is not self:
-                return None
-            i = s._idx
-            if (i <= prev or self.state_code[i] != C_OFF
-                    or s._transition is not None):
-                return None
-            watchers = s._watchers
-            slot = rack_slot[i]
-            if (slot < 0 or len(watchers) != 1
-                    or watchers[0] is not rack_aggs[slot]):
-                return None
-            if boot_s is None:
-                boot_s = s.boot_s
-            elif s.boot_s != boot_s:
-                return None
-            rows_list.append(i)
-            prev = i
-        rows = np.asarray(rows_list, dtype=np.int64)
         p = self.pstate[rows]
         t = self.tstate[rows]
-        eff = self.capacity[rows] * self._cap_fractions(rows, p, t)
-        if not (eff > 0.0).all():
-            return None
+        eff = self.capacity[rows] * self._cap_fractions(p, t)
+        if ((rows[1:] <= rows[:-1]).any()
+                or (self.state_code[rows] != C_OFF).any()
+                or (rack_slot[rows] < 0).any()
+                or not (eff > 0.0).all()):
+            raise ValueError(
+                "boot_many needs OFF, racked servers with positive "
+                "capacity, in ascending pool order")
 
         env = self.env
         now = env.now
@@ -796,13 +716,9 @@ class VectorFleet:
             still = fleet.state_code[rows] == C_BOOTING
             brows = rows[still]
             objs = fleet.gather(brows)
-            rewired = any(
-                len(s._watchers) != 1
-                or s._watchers[0] is not rack_aggs[rack_slot[s._idx]]
-                for s in objs)
-            if rewired:
-                # A watcher attached mid-boot: replay the scalar walk,
-                # which notifies whatever is wired now.
+            if fleet.pool_agg is not None:
+                # The pool attached mid-boot: replay the scalar walk,
+                # which notifies it too.
                 for s in objs:
                     s._set_state(active)
                     s._transition = None
@@ -822,8 +738,7 @@ class VectorFleet:
                 np.add.at(fleet.rack_active, slots, 1)
                 bp = fleet.pstate[brows]
                 bt = fleet.tstate[brows]
-                beff = (fleet.capacity[brows]
-                        * fleet._cap_fractions(brows, bp, bt))
+                beff = fleet.capacity[brows] * fleet._cap_fractions(bp, bt)
                 oldp = fleet.power[brows].copy()
                 fleet.energy_j[brows] += oldp * (t1 - fleet.t_last[brows])
                 fleet.t_last[brows] = t1
@@ -848,7 +763,7 @@ class VectorFleet:
 
     def __repr__(self) -> str:
         return (f"<VectorFleet n={self.n} claimed={self.n_claimed} "
-                f"racks={self.n_racks} uniform_linear={self.uniform_linear}>")
+                f"racks={self.n_racks} nonlinearity={self.nonlinearity}>")
 
 
 def _column_property(column: str, doc: str, tracked: bool = False):
@@ -908,10 +823,26 @@ class VectorServer(Server):
         fleet._install_model(self._idx, self.model)
 
     def add_watcher(self, watcher) -> None:
-        """Register ``watcher`` and make the fleet re-validate its
-        batch wiring (see ``VectorAggregate._wiring_valid``)."""
+        """Register this server's rack aggregate, then the fleet's pool.
+
+        Those are the only two watchers the batch kernels fold into,
+        so anything else raises ``TypeError``.
+        """
+        fleet = self._fleet
+        watchers = self._watchers
+        if len(watchers) == 0:
+            slot = fleet.rack_slot[self._idx]
+            expected = fleet.rack_aggs[slot] if slot >= 0 else None
+        elif len(watchers) == 1:
+            expected = fleet.pool_agg
+        else:
+            expected = None
+        if expected is None or watcher is not expected:
+            raise TypeError(
+                f"vector server {self.name} is watched by its rack "
+                f"aggregate, then the fleet's pool aggregate; "
+                f"{type(watcher).__name__} cannot watch it")
         super().add_watcher(watcher)
-        self._fleet._wiring_epoch += 1
 
     def _make_power_monitor(self):
         return EnergyMeter(self._fleet, self._idx,

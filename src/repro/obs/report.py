@@ -5,8 +5,7 @@ The flight recorder's export format.  A :class:`RunReport` bundles
 * the run's headline metrics (energy, PUE, SLA, alarms — the same
   fields :class:`~repro.datacenter.cosim.CoSimResult` carries),
 * the tracer's profiling counters and per-subsystem wall timers
-  (kernel event mix, vector-vs-scalar fallback counts, macro/capper
-  wall seconds),
+  (kernel event mix, macro/capper wall seconds),
 * the full decision audit trail (observations → actuations, per
   cycle), and
 * the actuation-bus command ledger with each command's originating

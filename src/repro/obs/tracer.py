@@ -11,8 +11,8 @@ stores:
   span, which is how an actuation is later traced back to the
   decision cycle that issued it;
 * **profiling counters and wall-clock timers** — plain dicts fed by
-  the instrumentation points (kernel event mix, vector-vs-scalar
-  fallbacks, per-subsystem wall seconds).
+  the instrumentation points (kernel event mix, per-subsystem wall
+  seconds).
 
 Everything is off by default: instrumentation sites guard on
 ``env.tracer is not None`` (one attribute load and a pointer
@@ -150,8 +150,8 @@ class Tracer:
             maxlen=self.capacity)
         self.events: collections.deque[EventRecord] = collections.deque(
             maxlen=self.capacity)
-        #: Monotonic profiling counters (kernel event mix, fallback
-        #: counts, ...).  Plain ints; see :meth:`count`.
+        #: Monotonic profiling counters (kernel event mix, ...).
+        #: Plain ints; see :meth:`count`.
         self.counters: dict[str, int] = {}
         #: Accumulated wall-clock seconds per subsystem bucket.
         self.wall_s: dict[str, float] = {}

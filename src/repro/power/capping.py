@@ -114,9 +114,8 @@ class PowerCapper:
     def evaluate(self) -> CapDecision:
         """Measure, decide, and apply caps.  Returns the decision."""
         fleet = self._vector_fleet()
-        demand = fleet.total_demand_w() if fleet is not None else None
-        if demand is None:
-            demand = sum(load.demand_w() for load in self.loads)
+        demand = (fleet.total_demand_w() if fleet is not None
+                  else sum(load.demand_w() for load in self.loads))
         self.demand_monitor.record(demand)
 
         if demand <= self.trigger_w:

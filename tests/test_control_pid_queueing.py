@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.control import (
     PIDController,
@@ -135,6 +135,14 @@ def test_mmc_overload_infinite_wait():
     assert mmc_wait_time(4, 100.0, 10.0) == float("inf")
 
 
+def test_mmc_wait_infinite_when_spare_rate_rounds_to_zero():
+    """λ/μ rounds to just below c while c·μ − λ rounds to exactly 0."""
+    lam, mu = 32.632372829495836, 1.4187988186737321
+    assert lam / mu < 23 and 23 * mu - lam == 0.0
+    assert mmc_wait_time(23, lam, mu) == float("inf")
+    assert servers_for_response_time(lam, mu, 2.0 / mu) > 23
+
+
 def test_servers_for_response_time_basic():
     c = servers_for_response_time(arrival_rate=80.0, service_rate=10.0,
                                   target_s=0.15)
@@ -158,6 +166,7 @@ def test_erlang_c_is_probability_property(c, a):
 
 @given(lam=st.floats(min_value=1.0, max_value=50.0),
        mu=st.floats(min_value=1.0, max_value=10.0))
+@example(lam=32.632372829495836, mu=1.4187988186737321)
 def test_provisioning_monotone_in_load_property(lam, mu):
     """More traffic never needs fewer servers."""
     target = 2.0 / mu  # always feasible

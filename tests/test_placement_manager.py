@@ -213,6 +213,11 @@ def test_migration_storm_property_400_steps():
     vec_servers = [VectorServer(fleet, env, f"s{i}", capacity=1.0,
                                 initial_state=ServerState.ACTIVE)
                    for i in range(N_HOSTS)]
+    # Both fleets wired like a facility: racks, then one pool.
+    half = N_HOSTS // 2
+    for servers in (obj_servers, vec_servers):
+        make_pool_aggregate(servers[:half], kind="rack")
+        make_pool_aggregate(servers[half:], kind="rack")
     obj_agg = make_pool_aggregate(obj_servers)
     vec_agg = make_pool_aggregate(vec_servers)
 

@@ -1,11 +1,13 @@
 """Unit tests for the structure-of-arrays vector plant.
 
 Every facility runs on this plant, so its contract is pinned against
-plain :class:`Server` twins: view semantics, the energy meter,
-aggregate construction rules, batch gating, the vectorized scans, and
-random mutation sequences that must leave twin plants identical.  End
-to end, the canonical co-simulations must keep the batch gate open,
-and a finished co-simulation must be garbage-collectable.
+plain :class:`Server` twins: view semantics, the energy meter, the
+wiring rules checked at construction (one power model, contiguous
+racks then one pool, two watchers per server, zoned racks of one
+fleet per cluster), the vectorized scans, and random mutation
+sequences that must leave twin plants identical.  End to end, the
+canonical co-simulations must run on the batch kernels, and a finished
+co-simulation must be garbage-collectable.
 """
 
 import gc
@@ -156,14 +158,52 @@ def test_make_aggregate_kinds():
     rack_a = fleet.make_aggregate(servers[:4], 4096, kind="rack")
     assert isinstance(rack_a, VectorRackAggregate)
     # Overlapping rack claim is refused.
-    assert fleet.make_aggregate(servers[2:6], 4096, kind="rack") is None
+    with pytest.raises(ValueError, match="overlap"):
+        fleet.make_aggregate(servers[2:6], 4096, kind="rack")
     rack_b = fleet.make_aggregate(servers[4:], 4096, kind="rack")
     assert isinstance(rack_b, VectorRackAggregate)
     pool = fleet.make_aggregate(servers, 4096, kind="pool")
     assert isinstance(pool, VectorAggregate)
-    # Sub-pools and non-contiguous picks fall back.
-    assert fleet.make_aggregate(servers[:4], 4096, kind="pool") is None
-    assert fleet.make_aggregate(servers[::2], 4096, kind="rack") is None
+    # Sub-pools and non-contiguous picks are refused.
+    with pytest.raises(ValueError, match="whole fleet"):
+        fleet.make_aggregate(servers[:4], 4096, kind="pool")
+    with pytest.raises(ValueError, match="contiguous"):
+        fleet.make_aggregate(servers[::2], 4096, kind="rack")
+
+
+def _refuse_overlapping_rack(fleet, servers):
+    fleet.make_aggregate(servers[:4], 4096, kind="rack")
+    fleet.make_aggregate(servers[3:], 4096, kind="rack")
+
+
+def _refuse_sub_pool(fleet, servers):
+    fleet.make_aggregate(servers[:4], 4096, kind="rack")
+    fleet.make_aggregate(servers[4:], 4096, kind="rack")
+    make_pool_aggregate(servers[:4])
+
+
+def _refuse_second_pool(fleet, servers):
+    fleet.make_aggregate(servers[:4], 4096, kind="rack")
+    fleet.make_aggregate(servers[4:], 4096, kind="rack")
+    make_pool_aggregate(servers)
+    make_pool_aggregate(servers)
+
+
+def _refuse_pool_before_racks(fleet, servers):
+    fleet.make_aggregate(servers[:4], 4096, kind="rack")
+    make_pool_aggregate(servers)
+
+
+@pytest.mark.parametrize("wiring, match", [
+    (_refuse_overlapping_rack, "overlap"),
+    (_refuse_sub_pool, "whole fleet"),
+    (_refuse_second_pool, "already has a pool"),
+    (_refuse_pool_before_racks, "every rack before"),
+], ids=["overlapping-rack", "sub-pool", "second-pool", "pool-before-racks"])
+def test_noncanonical_aggregate_raises(wiring, match):
+    env, fleet, servers = make_fleet(8)
+    with pytest.raises(ValueError, match=match):
+        wiring(fleet, servers)
 
 
 def test_make_pool_aggregate_falls_back_for_plain_servers():
@@ -199,7 +239,7 @@ def test_vector_aggregate_tracks_scalar_invariants():
 
 
 # ----------------------------------------------------------------------
-# Batch gating
+# Wiring rules: rack, then pool, then nothing else
 # ----------------------------------------------------------------------
 def build_wired_pool(n=6):
     env, fleet, servers = make_fleet(n)
@@ -210,79 +250,54 @@ def build_wired_pool(n=6):
     return env, fleet, servers, pool
 
 
+class _Mute:
+    """A watcher the fleet's batch kernels cannot fold into."""
+
+    def state_changed(self, *a):
+        pass
+
+    def power_changed(self, *a):
+        pass
+
+
 def test_batcher_requires_canonical_wiring():
     env, fleet, servers, pool = build_wired_pool()
     assert pool.batcher() is pool
-
-    class Mute:
-        """A watcher with no power_changed — genuinely foreign."""
-
-        def state_changed(self, *a):
-            pass
-
-    servers[2].add_watcher(Mute())
-    assert pool.batcher() is None  # cannot be notified: fall back
-
-    # Swapping the farm slot for anything else is foreign wiring too
-    # (a raw list edit must bump the epoch itself to be re-checked).
-    env, fleet, servers, pool = build_wired_pool()
-    assert pool.batcher() is pool
-    servers[3]._watchers.insert(1, object())
-    fleet._wiring_epoch += 1
-    assert pool.batcher() is None
+    with pytest.raises(TypeError, match="cannot watch"):
+        servers[2].add_watcher(_Mute())
+    assert servers[2]._watchers == [fleet.rack_aggs[0], pool]
 
 
-def test_plain_extra_watcher_gets_scalar_replay():
-    """An unknown power_changed watcher no longer poisons batching: it
-    is replayed one delta at a time, in pool order, exactly as the
-    scalar funnel would have called it."""
-    env, fleet, servers, pool = build_wired_pool()
+def test_foreign_watcher_raises():
+    from repro.cluster.request_farm import RequestFarm
 
-    class Recorder:
-        def __init__(self):
-            self.calls = []
-
-        def state_changed(self, *a):
-            pass
-
-        def power_changed(self, server, delta):
-            self.calls.append((server, delta))
-
-    from repro.cluster.loadbalancer import WeightedSplit
-
-    rec = Recorder()
-    servers[1].add_watcher(rec)
-    servers[3].add_watcher(rec)
-    for s in servers[:4]:
-        s.power_on()
-    env.run(until=121.0)
-    rec.calls.clear()
-    batch = pool.batcher()
-    assert batch is pool  # extra watcher does not disable batching
-    before = fleet.power.copy()
-    batch.dispatch_loads(WeightedSplit(), 120.0, pool.active_servers())
-    expected = [(servers[i], float(fleet.power[i] - before[i]))
-                for i in (1, 3) if fleet.power[i] != before[i]]
-    assert rec.calls == expected
-    total = pool.power_w
-    assert total == pytest.approx(float(np.sum(fleet.power)), rel=1e-12)
+    # Before its rack: only the rack aggregate may come first.
+    env, fleet, servers = make_fleet(4)
+    with pytest.raises(TypeError):
+        servers[0].add_watcher(_Mute())
+    # After the rack, before the pool: only the pool may come second.
+    fleet.make_aggregate(servers, 4096, kind="rack")
+    with pytest.raises(TypeError):
+        servers[0].add_watcher(_Mute())
+    # A plain aggregate or a request farm over vector servers.
+    with pytest.raises(TypeError):
+        FleetAggregate(servers)
+    env, fleet, servers, pool = build_wired_pool(4)
+    with pytest.raises(TypeError):
+        RequestFarm(env, servers)
 
 
-def test_batch_safe_extra_watcher_keeps_batching():
-    env, fleet, servers, pool = build_wired_pool()
-
-    class SafeExtra:
-        vector_batch_safe = True
-
-        def state_changed(self, *a):
-            pass
-
-        def power_changed(self, *a):
-            pass
-
-    for s in servers:
-        s.add_watcher(SafeExtra())
-    assert pool.batcher() is pool
+def test_boot_many_refuses_bad_batches():
+    env, fleet, servers = make_fleet(4)
+    fleet.make_aggregate(servers, 4096, kind="rack")
+    with pytest.raises(ValueError):
+        fleet.boot_many([])
+    with pytest.raises(ValueError):
+        fleet.boot_many(servers[::-1])          # not in pool order
+    servers[0].power_on()
+    with pytest.raises(ValueError):
+        fleet.boot_many(servers)                # a transition in flight
+    assert fleet.state_code.tolist() == [1, 0, 0, 0]
 
 
 def test_nonlinear_model_batches_bit_exactly():
@@ -293,8 +308,7 @@ def test_nonlinear_model_batches_bit_exactly():
     model = ServerPowerModel(nonlinearity=1.4)
     servers = [VectorServer(fleet, env, f"v{i}", power_model=model)
                for i in range(4)]
-    assert not fleet.uniform_linear  # informational flag only
-    assert len(fleet.groups) == 1 and fleet.groups[0].r == 1.4
+    assert fleet.nonlinearity == 1.4
     fleet.make_aggregate(servers[:2], 4096, kind="rack")
     fleet.make_aggregate(servers[2:], 4096, kind="rack")
     pool = fleet.make_aggregate(servers, 4096, kind="pool")
@@ -326,50 +340,19 @@ class _EqualSplit:
         return [total / len(active)] * len(active)
 
 
-def test_mixed_tables_batch_per_group():
-    from repro.power.pstates import DEFAULT_PSTATES, TState
-
-    other_table = PStateTable(
-        pstates=DEFAULT_PSTATES,
-        tstates=(TState("T0", 1.0), TState("T1", 0.25)))
-
-    def build(cls, env, fleet=None):
-        mk = ((lambda n, **kw: VectorServer(fleet, env, n, **kw))
-              if fleet is not None else
-              (lambda n, **kw: Server(env, n, **kw)))
-        a = mk("v0")
-        b = mk("v1", power_model=ServerPowerModel(
-            pstate_table=other_table))
-        return [a, b]
-
+@pytest.mark.parametrize("model_kwargs", [
+    {"pstate_table": PStateTable(tstates=())},
+    {"nonlinearity": 1.4},
+], ids=["other-table", "other-nonlinearity"])
+def test_second_power_model_must_match(model_kwargs):
     env = Environment()
-    fleet = VectorFleet(env, 2)
-    servers = build(VectorServer, env, fleet)
-    assert not fleet.uniform_linear
-    assert len(fleet.groups) == 2
-    assert fleet.group_id.tolist() == [0, 1]
-    fleet.make_aggregate(servers[:1], 4096, kind="rack")
-    fleet.make_aggregate(servers[1:], 4096, kind="rack")
-    pool = fleet.make_aggregate(servers, 4096, kind="pool")
-    assert pool.batcher() is pool
-
-    env2 = Environment()
-    twins = build(Server, env2)
-    for s, t in zip(servers, twins):
-        s.power_on(), t.power_on()
-    env.run(until=121.0), env2.run(until=121.0)
-    pool.batcher().dispatch_loads(
-        _EqualSplit(), 130.0, pool.active_servers())
-    for t, share in zip(twins, _EqualSplit().split(130.0, twins)):
-        t.set_offered_load(share)
-    pool.batcher().batch_set_pstate(1)
-    for t in twins:
-        t.set_pstate(1)
-    for s, t in zip(servers, twins):
-        assert s.power_w() == t.power_w()
-        assert s.effective_capacity == t.effective_capacity
-        assert s.demand_w() == t.demand_w()
-    assert fleet.total_demand_w() == sum(t.demand_w() for t in twins)
+    fleet = VectorFleet(env, 3)
+    VectorServer(fleet, env, "v0")
+    with pytest.raises(ValueError, match="one power model"):
+        VectorServer(fleet, env, "v1",
+                     power_model=ServerPowerModel(**model_kwargs))
+    with pytest.raises(ValueError, match="one power model"):
+        fleet.build_servers(env, ["v2"], ServerPowerModel(**model_kwargs))
 
 
 def test_equal_table_contents_share_a_group():
@@ -379,10 +362,10 @@ def test_equal_table_contents_share_a_group():
                  power_model=ServerPowerModel(pstate_table=PStateTable()))
     VectorServer(fleet, env, "v1",
                  power_model=ServerPowerModel(pstate_table=PStateTable()))
-    # Distinct table objects, identical contents: one group, and the
-    # fused uniform-linear fast path stays enabled.
-    assert len(fleet.groups) == 1
-    assert fleet.uniform_linear
+    # Distinct table objects, identical contents: the same model as
+    # far as the batch kernels can tell, so the fleet accepts it.
+    assert fleet.n_claimed == 2
+    assert fleet.nonlinearity == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -510,12 +493,31 @@ def test_vector_cluster_matches_object_cluster():
         return cluster
 
     vec, obj = build(True), build(False)
+    assert vec.rack_powers_array().tolist() == [
+        rack.power_w() for rack in obj.racks]
     assert vec.power_w() == obj.power_w()
     assert vec.heat_by_zone() == obj.heat_by_zone()
     assert list(vec.heat_by_zone()) == list(obj.heat_by_zone())
     for state in ServerState:
         assert vec.count_in(state) == obj.count_in(state)
     assert vec.total_effective_capacity() == obj.total_effective_capacity()
+
+
+def test_vector_cluster_refuses_zoneless_and_foreign_racks():
+    env = Environment()
+    fleet = VectorFleet(env, 4)
+    servers = [VectorServer(fleet, env, f"v{i}") for i in range(4)]
+    zoned = Rack("zoned", servers[:2], zone="z0")
+    zoneless = Rack("zoneless", servers[2:])
+    with pytest.raises(ValueError, match="no zone"):
+        VectorCluster("c", [zoned, zoneless])
+    other = VectorFleet(env, 1)
+    foreign = Rack("foreign", [VectorServer(other, env, "o0")], zone="z0")
+    with pytest.raises(ValueError, match="another fleet"):
+        VectorCluster("c", [zoned, foreign])
+    plain = Rack("plain", [Server(env, "p0")], zone="z0")
+    with pytest.raises(ValueError, match="not a vector"):
+        VectorCluster("c", [zoned, plain])
 
 
 # ----------------------------------------------------------------------
