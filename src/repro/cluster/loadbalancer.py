@@ -139,18 +139,17 @@ class LoadBalancer:
         if total_load < 0:
             raise ValueError(f"negative load {total_load}")
         self.offered_monitor.record(total_load)
-        active = self.fleet.active_servers()
         batch = self.fleet.batcher()
         if batch is not None:
-            if not active:
+            if not batch.active_count:
                 batch.zero_inactive()
                 self.shed_monitor.record(total_load)
                 return 0.0
             # Fused zero→split→apply→serve step; a repeated demand
             # level against an unmutated fleet is one memo hit.
-            served = batch.fused_dispatch(self.policy, total_load,
-                                          active)
+            served = batch.fused_dispatch(self.policy, total_load)
         else:
+            active = self.fleet.active_servers()
             for server in self.servers:
                 if server._state is not ServerState.ACTIVE:
                     # Skip redundant zeroing of an already-idle server

@@ -141,16 +141,19 @@ class Server:
 
         def body(env):
             yield env.timeout(delay)
-            # Only complete if nothing preempted the transition — a
+            # Only complete the transition this timer started: a
             # protective fail() during boot must not be resurrected to
-            # ACTIVE by this stale timer.
-            if self._state is interim:
-                self._set_state(final)
-            self._transition = None
+            # ACTIVE, and after fail → repair → power_on the newer
+            # transition owns the server — this stale timer must not
+            # finish it early.
+            if self._transition is proc:
+                if self._state is interim:
+                    self._set_state(final)
+                self._transition = None
 
-        self._transition = self.env.process(
+        proc = self._transition = self.env.process(
             body(self.env), name=f"{self.name}:{interim.value}")
-        return self._transition
+        return proc
 
     def power_on(self) -> Event:
         """OFF → BOOTING → ACTIVE after ``boot_s``; returns completion."""

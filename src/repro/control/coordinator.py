@@ -112,15 +112,23 @@ class CoordinatedController:
 
         # Step 2: trim speed on the fleet we just sized.  Required
         # per-server speed fraction so that `target` machines at the
-        # target utilization still cover demand.
-        active = (cp.believed_active(farm) if mediated
-                  else farm.active_servers())
+        # target utilization still cover demand.  A vector fleet runs
+        # one power model and sets P-states in bulk, so it needs no
+        # roster: the count and the first server's table suffice.
+        batch = farm.fleet.batcher() if cp is None else None
+        if batch is not None:
+            active = None
+            n_active = batch.active_count
+        else:
+            active = (cp.believed_active(farm) if mediated
+                      else farm.active_servers())
+            n_active = len(active)
         pstate = 0
-        if active:
+        if n_active:
             capacity_needed = demand / (target * per_server_full)
-            table = active[0].model.pstates
+            table = (farm.servers[0] if active is None
+                     else active[0]).model.pstates
             pstate = table.slowest_state_meeting(min(capacity_needed, 1.0))
-            batch = farm.fleet.batcher() if cp is None else None
             if batch is not None:
                 batch.batch_set_pstate(pstate)
             else:
@@ -132,7 +140,7 @@ class CoordinatedController:
             tracer = farm.env.tracer
             if tracer is not None and pstate != self._last_pstate:
                 tracer.event("dvfs.set", "actuation", index=pstate,
-                             servers=len(active))
+                             servers=n_active)
         self._last_pstate = pstate
         self.fleet_monitor.record(target)
         self.pstate_monitor.record(pstate)

@@ -92,12 +92,12 @@ class ServerFarm:
         fleet.  The counterpart convention in
         :meth:`mean_response_time_s` reports ``delay_cap_s``.
         """
-        active = self.fleet.active_servers()
-        if not active:
+        if not self.fleet.active_count:
             return 1.0  # no capacity at all: saturated by definition
         fast = getattr(self.fleet, "mean_utilization_active", None)
         if fast is not None:
             return fast()
+        active = self.fleet.active_servers()
         return sum(s.utilization for s in active) / len(active)
 
     def mean_response_time_s(self) -> float:
@@ -112,12 +112,12 @@ class ServerFarm:
         queue) — the same "saturated by definition" outage reading
         that :meth:`mean_utilization` expresses as ``1.0``.
         """
-        active = self.fleet.active_servers()
-        if not active:
+        if not self.fleet.active_count:
             return self.delay_cap_s
         fast = getattr(self.fleet, "mean_response_time_active", None)
         if fast is not None:
             return fast(self.delay_cap_s)
+        active = self.fleet.active_servers()
         total = 0.0
         for server in active:
             total += mm1_response_time(server.offered_load,

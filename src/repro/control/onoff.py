@@ -45,6 +45,34 @@ def _trace_deactivate(farm: ServerFarm, name: str | None,
                      to_sleep=to_sleep, via=via)
 
 
+def _start_vector(farm: ServerFarm, start, count: int) -> int:
+    """Start up to ``count`` machines of a vector fleet.
+
+    One scan of the state column picks the lowest SLEEPING rows, then
+    the lowest OFF rows — the same choice as repeated single scans,
+    and one that keeps the active rows a contiguous run — and the
+    fleet's transition kernel starts them all.
+    """
+    quarantined = getattr(farm, "quarantined_zones", frozenset())
+    rows = start(quarantined, count)
+    if farm.env.tracer is not None:
+        for i in rows.tolist():
+            _trace_activate(farm, farm.servers[i].name, "vector")
+    return rows.size
+
+
+def _stop_vector(farm: ServerFarm, stop, to_sleep: bool,
+                 count: int) -> int:
+    """Drain and sleep/shut the highest ``count`` ACTIVE rows of a
+    vector fleet, back to front, in one kernel call."""
+    rows = stop(count, to_sleep)
+    if farm.env.tracer is not None:
+        for i in rows.tolist():
+            _trace_deactivate(farm, farm.servers[i].name, to_sleep,
+                              "direct")
+    return rows.size
+
+
 def _activate_one(farm: ServerFarm) -> bool:
     """Wake (preferred) or boot one machine; True if one was started.
 
@@ -65,19 +93,9 @@ def _activate_one(farm: ServerFarm) -> bool:
         if started:
             _trace_activate(farm, cp.last_actuated, "controlplane")
         return started
-    picker = getattr(farm.fleet, "pick_startable", None)
-    if picker is not None:
-        # Vector fleet: the same first-SLEEPING-else-first-OFF pool
-        # scan, done on the state-code column.
-        server = picker(quarantined)
-        if server is None:
-            return False
-        if server.state is ServerState.SLEEPING:
-            server.wake()
-        else:
-            server.power_on()
-        _trace_activate(farm, server.name, "vector")
-        return True
+    start = getattr(farm.fleet, "start_startable", None)
+    if start is not None:
+        return _start_vector(farm, start, 1) > 0
     for server in farm.servers:
         if (server.state is ServerState.SLEEPING
                 and server.zone not in quarantined):
@@ -103,19 +121,11 @@ def _activate_many(farm: ServerFarm, count: int) -> int:
     """
     if count <= 0:
         return 0
-    started = 0
     if getattr(farm, "control_plane", None) is None:
-        many = getattr(farm.fleet, "pick_startable_many", None)
-        if many is not None:
-            quarantined = getattr(farm, "quarantined_zones", frozenset())
-            for server in many(quarantined, count):
-                if server.state is ServerState.SLEEPING:
-                    server.wake()
-                else:
-                    server.power_on()
-                _trace_activate(farm, server.name, "vector")
-                started += 1
-            return started
+        start = getattr(farm.fleet, "start_startable", None)
+        if start is not None:
+            return _start_vector(farm, start, count)
+    started = 0
     for _ in range(count):
         if not _activate_one(farm):
             break
@@ -132,6 +142,9 @@ def _deactivate_one(farm: ServerFarm, to_sleep: bool) -> bool:
             _trace_deactivate(farm, cp.last_actuated, to_sleep,
                               "controlplane")
         return done
+    stop = getattr(farm.fleet, "stop_tail", None)
+    if stop is not None:
+        return _stop_vector(farm, stop, to_sleep, 1) > 0
     active = farm.active_servers()
     if len(active) <= 1:
         return False  # never scale to zero
@@ -152,8 +165,9 @@ def _deactivate_many(farm: ServerFarm, to_sleep: bool, count: int) -> int:
     server, so the victims are the roster's tail processed back to
     front; doing that against one roster snapshot issues the identical
     mutation sequence without rebuilding the roster per victim (the
-    O(victims × fleet) cost that dominated large scale-downs).  Never
-    scales below one active server.
+    O(victims × fleet) cost that dominated large scale-downs).  A
+    vector fleet takes the tail of its active rows and stops them in
+    one kernel call.  Never scales below one active server.
     """
     if count <= 0:
         return 0
@@ -167,6 +181,9 @@ def _deactivate_many(farm: ServerFarm, to_sleep: bool, count: int) -> int:
                               "controlplane")
             done += 1
         return done
+    stop = getattr(farm.fleet, "stop_tail", None)
+    if stop is not None:
+        return _stop_vector(farm, stop, to_sleep, count)
     active = farm.active_servers()
     victims = min(count, len(active) - 1)
     if victims <= 0:

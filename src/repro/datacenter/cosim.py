@@ -104,14 +104,14 @@ class CoSimulation:
         self.physical_step_s = float(physical_step_s)
         self.sla = sla or SLA("cosim")
 
-        # Bring up the initial fleet synchronously in one fused boot
-        # storm (one timer, column updates, bit-identical to
-        # per-server power_on).
+        # Bring up the initial fleet synchronously through the fleet's
+        # transition kernel (one timer, column updates, bit-identical
+        # to per-server power_on).
         n_start = (spec.total_servers if initial_active is None
                    else initial_active)
         booting = self.dc.servers[:n_start]
         if booting:
-            booting[0]._fleet.boot_many(booting)
+            booting[0]._fleet.start_many([s._idx for s in booting])
         self.env.run(until=spec.boot_s + 1.0)
 
         self.farm = ServerFarm(self.env, self.dc.servers,

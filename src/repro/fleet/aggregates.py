@@ -34,7 +34,13 @@ import typing
 import numpy as np
 
 from repro.cluster.aggregates import FleetAggregate
-from repro.fleet.plant import C_ACTIVE, VectorFleet
+from repro.fleet.plant import (
+    C_ACTIVE,
+    VectorFleet,
+    _last_trigger,
+    _restore_before,
+    run_rows,
+)
 
 __all__ = ["VectorAggregate", "VectorRackAggregate"]
 
@@ -113,6 +119,28 @@ class VectorAggregate(FleetAggregate):
         """This aggregate: its wiring was checked at construction."""
         return self
 
+    def start_startable(self, quarantined, count: int) -> np.ndarray:
+        """Start up to ``count`` servers — the lowest SLEEPING rows,
+        then the lowest OFF rows, outside quarantined zones — through
+        the fleet's transition kernel; returns the rows started."""
+        fleet = self._fleet
+        rows = fleet.startable_rows(quarantined, count)
+        if rows.size:
+            fleet.start_many(rows)
+        return rows
+
+    def stop_tail(self, count: int, to_sleep: bool) -> np.ndarray:
+        """Drain and sleep (or shut down) up to ``count`` of the
+        highest ACTIVE rows, back to front, never the last active one;
+        returns the rows stopped, in victim order."""
+        idx = self.active_indices()
+        victims = min(count, idx.size - 1)
+        if victims <= 0:
+            return idx[:0]
+        rows = idx[idx.size - victims:][::-1].copy()
+        self._fleet.stop_many(rows, to_sleep)
+        return rows
+
     def zero_inactive(self) -> None:
         """Zero offered load on non-ACTIVE servers, in pool order.
 
@@ -126,30 +154,31 @@ class VectorAggregate(FleetAggregate):
         for i in idle.tolist():
             fleet.objs[i].set_offered_load(0.0)
 
-    def dispatch_loads(self, policy, total_load: float,
-                       active: list) -> float:
+    def dispatch_loads(self, policy, total_load: float) -> float:
         """Split ``total_load`` over the active set and apply in bulk.
 
         Returns the served amount — the same left fold of
-        ``delivered_load`` the scalar dispatch accumulates.
+        ``delivered_load`` the scalar dispatch accumulates.  Only a
+        policy without ``split_array`` needs the active roster.
         """
         fleet = self._fleet
         idx = self.active_indices()
+        rows = run_rows(idx)
         split_array = getattr(policy, "split_array", None)
         if split_array is not None:
-            loads = split_array(total_load, fleet.eff_cap[idx])
+            loads = split_array(total_load, fleet.eff_cap[rows])
         else:
+            active = self.active_servers()
             shares = policy.split(total_load, active)
             if len(shares) != len(active):
                 raise RuntimeError(
                     "policy returned wrong number of shares")
             loads = np.asarray(shares, dtype=np.float64)
         self._apply_active_loads(idx, loads)
-        delivered = np.minimum(fleet.offered[idx], fleet.eff_cap[idx])
+        delivered = np.minimum(fleet.offered[rows], fleet.eff_cap[rows])
         return float(np.cumsum(delivered)[-1])
 
-    def fused_dispatch(self, policy, total_load: float,
-                       active: list) -> float:
+    def fused_dispatch(self, policy, total_load: float) -> float:
         """One fused zero-inactive → split → apply → serve step.
 
         Keyed on ``(mutation epoch, total load, policy identity)``: an
@@ -174,7 +203,7 @@ class VectorAggregate(FleetAggregate):
                 and memo[2] is policy):
             return memo[3]
         self.zero_inactive()
-        served = self.dispatch_loads(policy, total_load, active)
+        served = self.dispatch_loads(policy, total_load)
         if getattr(policy, "split_array", None) is not None:
             self._dispatch_memo = (fleet.mutation_epoch, total_load,
                                    policy, served)
@@ -188,15 +217,11 @@ class VectorAggregate(FleetAggregate):
         idx = self.active_indices()
         if idx.size == 0:
             return
-        # Ascending unique rows covering the whole fleet are exactly
-        # ``arange(n)``; slice stores/views then replace every fancy
-        # gather.  The delta fold below keeps the row array: it
-        # gathers changed rows only, usually none.
-        rows = slice(None) if idx.size == fleet.state_code.size else idx
+        # A contiguous active run is read and written through slices;
+        # the delta fold below keeps the row array.
+        rows = run_rows(idx)
         now = fleet.env.now
-        oldp = fleet.power[rows].copy()
-        fleet.energy_j[rows] += oldp * (now - fleet.t_last[rows])
-        fleet.t_last[rows] = now
+        oldp = fleet._flush(rows, now)
         fleet.pstate[rows] = index
         tstates = fleet.tstate[rows]
         eff = fleet.capacity[rows] * fleet._cap_fractions(index, tstates)
@@ -205,7 +230,7 @@ class VectorAggregate(FleetAggregate):
                                    index, tstates)
         fleet.power[rows] = newp
         fleet.mutation_epoch += 1
-        self._fold_power_deltas(idx, oldp, newp)
+        fleet._fold_power(idx, oldp, newp)
 
     def _apply_active_loads(self, idx: np.ndarray,
                             loads: np.ndarray) -> None:
@@ -215,86 +240,67 @@ class VectorAggregate(FleetAggregate):
         scalar fast path only re-records the held power, which for an
         :class:`~repro.fleet.plant.EnergyMeter` is a lazy no-op (the
         joule total is identical whether the held segment is flushed
-        now or at its eventual close).
+        now or at its eventual close).  When every load changes and
+        ``idx`` is one contiguous run — the shape the On/Off
+        controllers keep — the columns are read and written through
+        slices.
         """
         fleet = self._fleet
         offered = fleet.offered
-        changed = loads != offered[idx]
-        if not changed.any():
-            return
-        cidx = idx[changed]
-        new_loads = loads[changed]
-        low = float(new_loads.min())
+        rows = run_rows(idx)
+        changed = loads != offered[rows]
+        if not changed.all():
+            if not changed.any():
+                return
+            idx = idx[changed]
+            loads = loads[changed]
+            rows = run_rows(idx)
+        low = float(loads.min())
         if low < 0.0:
             raise ValueError(f"negative load {low}")
-        now = fleet.env.now
-        oldp = fleet.power[cidx].copy()
-        fleet.energy_j[cidx] += oldp * (now - fleet.t_last[cidx])
-        fleet.t_last[cidx] = now
-        offered[cidx] = new_loads
+        oldp = fleet._flush(rows, fleet.env.now)
+        offered[rows] = loads
         fleet.mutation_epoch += 1
-        newp = fleet._active_power(cidx, new_loads, fleet.eff_cap[cidx],
-                                   fleet.pstate[cidx], fleet.tstate[cidx])
-        fleet.power[cidx] = newp
-        self._fold_power_deltas(cidx, oldp, newp)
-
-    def _fold_power_deltas(self, cidx: np.ndarray, oldp: np.ndarray,
-                           newp: np.ndarray) -> None:
-        """Push power deltas to rack aggregates, then to this one.
-
-        The scalar funnel interleaves (rack, farm) per server, but the
-        two accumulators are disjoint, so racks-then-farm reproduces
-        both delta subsequences exactly.
-        """
-        changed = newp != oldp
-        if not changed.any():
-            return
-        fidx = cidx[changed]
-        old = oldp[changed]
-        deltas = newp[changed] - old
-        self._fleet._fold_rack_deltas(fidx, old, deltas)
-        self._fold_farm_deltas(fidx, old, deltas)
+        newp = fleet._active_power(rows, loads, fleet.eff_cap[rows],
+                                   fleet.pstate[rows], fleet.tstate[rows])
+        fleet.power[rows] = newp
+        fleet._fold_power(idx, oldp, newp)
 
     def _fold_farm_deltas(self, fidx: np.ndarray, old: np.ndarray,
                           deltas: np.ndarray) -> None:
+        """Fold deltas into the pool sum (zero entries are unchanged
+        rows: exact ``+ 0.0`` adds that do not count as updates).
+
+        The scalar drift guard re-sums exactly at every
+        ``recompute_every``-th update and discards the running total,
+        so only the batch's *last* trigger matters: the new sum is the
+        re-sum there — against a snapshot in which rows updated later
+        in the batch still hold their earlier power — followed by the
+        deltas after it, all one left fold.
+        """
         every = self.recompute_every
         updates = self._updates
-        total = self._power_w
-        power = self._fleet.power
-        m = deltas.size
-        j = 0
-        while j < m:
-            until_trigger = every - updates
-            if m - j < until_trigger:
-                total = float(np.cumsum(
-                    np.concatenate(([total], deltas[j:m])))[-1])
-                updates += m - j
-                break
-            # The delta at the trigger is discarded (the scalar guard
-            # re-sums instead of folding it); everything before folds.
-            pos = j + until_trigger - 1
-            if until_trigger > 1:
-                total = float(np.cumsum(
-                    np.concatenate(([total], deltas[j:pos])))[-1])
-            snap = power.copy()
-            snap[fidx[pos + 1:]] = old[pos + 1:]
-            total = float(np.cumsum(snap)[-1])
-            updates = 0
-            j = pos + 1
-        self._power_w = total
-        self._updates = updates
+        m = np.count_nonzero(deltas)
+        if updates + m < every:
+            self._power_w = float(np.cumsum(
+                np.concatenate(([self._power_w], deltas)))[-1])
+            self._updates = updates + m
+            return
+        if m < deltas.size:
+            keep = deltas != 0.0
+            fidx, old, deltas = fidx[keep], old[keep], deltas[keep]
+        pos = _last_trigger(updates, every, m)
+        snap = self._fleet.power.copy()
+        _restore_before(snap, fidx[pos + 1:], old[pos + 1:])
+        self._power_w = float(np.cumsum(
+            np.concatenate((snap, deltas[pos + 1:])))[-1])
+        self._updates = m - 1 - pos
 
     # ------------------------------------------------------------------
     # Vectorized read-only queries
     # ------------------------------------------------------------------
     def committed_count(self) -> int:
         return self._fleet.committed_count()
-
-    def pick_startable(self, quarantined=None):
-        return self._fleet.pick_startable(quarantined)
-
-    def pick_startable_many(self, quarantined, count: int) -> list:
-        return self._fleet.pick_startable_many(quarantined, count)
 
     def mean_utilization_active(self) -> float:
         """Mean utilization over the (non-empty) active set.
@@ -308,7 +314,8 @@ class VectorAggregate(FleetAggregate):
         if memo is not None and memo[0] == fleet.mutation_epoch:
             return memo[1]
         idx = self.active_indices()
-        util = np.minimum(fleet.offered[idx] / fleet.eff_cap[idx], 1.0)
+        rows = run_rows(idx)
+        util = np.minimum(fleet.offered[rows] / fleet.eff_cap[rows], 1.0)
         value = float(np.cumsum(util)[-1]) / idx.size
         self._util_memo = (fleet.mutation_epoch, value)
         return value
@@ -325,8 +332,9 @@ class VectorAggregate(FleetAggregate):
                 and memo[1] == delay_cap_s):
             return memo[2]
         idx = self.active_indices()
-        arrival = fleet.offered[idx]
-        service = np.maximum(fleet.eff_cap[idx], 1e-9)
+        rows = run_rows(idx)
+        arrival = fleet.offered[rows]
+        service = np.maximum(fleet.eff_cap[rows], 1e-9)
         with np.errstate(divide="ignore"):
             inverse = 1.0 / (service - arrival)
         resp = np.where(arrival >= service, delay_cap_s,

@@ -33,11 +33,15 @@ never at run time:
   the server's rack aggregate, then the fleet's pool aggregate, and
   raises ``TypeError`` for anything else.
 
-So every batch kernel can fold into exactly one rack and one pool.  A
-linear model takes one fused pass; a non-linear one evaluates its
-shape with element-wise ``math.pow`` (libm) rather than ``np.power``,
-because Python's ``u ** r`` and ``np.power`` differ by 1 ulp on some
-inputs — the element-wise path is bit-identical to the scalar model.
+So every batch kernel can fold into exactly one rack and one pool —
+including the transition kernel, :meth:`VectorFleet.start_many` (boot
+and wake) and :meth:`VectorFleet.stop_many` (drain, then sleep or shut
+down), which the On/Off controllers and plant bring-up call instead of
+walking servers one by one.  A linear model takes one fused pass; a
+non-linear one evaluates its shape with element-wise ``math.pow``
+(libm) rather than ``np.power``, because Python's ``u ** r`` and
+``np.power`` differ by 1 ulp on some inputs — the element-wise path is
+bit-identical to the scalar model.
 """
 
 from __future__ import annotations
@@ -62,6 +66,42 @@ C_BOOTING = _STATE_TO_CODE[ServerState.BOOTING]
 C_ACTIVE = _STATE_TO_CODE[ServerState.ACTIVE]
 C_SLEEPING = _STATE_TO_CODE[ServerState.SLEEPING]
 C_WAKING = _STATE_TO_CODE[ServerState.WAKING]
+
+
+def run_rows(idx: np.ndarray):
+    """``slice(lo, hi)`` when the strictly ascending rows ``idx`` are
+    one contiguous run, else ``idx`` — so a contiguous set is read and
+    written through slice views instead of fancy gathers."""
+    n = idx.size
+    if n and int(idx[-1]) - int(idx[0]) + 1 == n:
+        lo = int(idx[0])
+        return slice(lo, lo + n)
+    return idx
+
+
+def _last_trigger(updates: int, every: int, m: int) -> int:
+    """Index of the last of ``m`` updates at which a drift guard that
+    has counted ``updates`` re-sums (every ``every``-th update); the
+    caller has checked that ``updates + m >= every``."""
+    first = every - updates - 1
+    return first + (m - 1 - first) // every * every
+
+
+def _restore_before(snap: np.ndarray, rows: np.ndarray,
+                    old: np.ndarray) -> None:
+    """``snap[rows] = old``, the *first* entry winning for a row that
+    repeats: its value before any of the batch's deltas landed.
+
+    ``rows`` is strictly ascending (no repeats, a plain store) or
+    non-increasing — the stop kernel's victim order, where a drained
+    and stopped row appears twice and a fancy store would keep its
+    second, mid-batch value.
+    """
+    if rows.size < 2 or rows[0] < rows[-1]:
+        snap[rows] = old
+    else:
+        uniq, first = np.unique(rows, return_index=True)
+        snap[uniq] = old[first]
 
 
 def _pow_elements(x: np.ndarray, r: float) -> np.ndarray:
@@ -212,6 +252,7 @@ class VectorFleet:
         self.rack_lo = np.zeros(cap, dtype=np.int64)
         self.rack_hi = np.zeros(cap, dtype=np.int64)
         self.rack_aggs: list = []
+        self._rack_grid: int | None = None   # see _rack_width
         #: The whole-fleet pool aggregate, once one is made.
         self.pool_agg = None
 
@@ -423,6 +464,7 @@ class VectorFleet:
         self.rack_slot[lo:hi] = slot
         self.rack_aggs.append(agg)
         self.n_racks = slot + 1
+        self._rack_grid = None
         return slot
 
     # ------------------------------------------------------------------
@@ -476,17 +518,112 @@ class VectorFleet:
         p, t = self._table_index(p, t)
         return self.cap_frac[p, t]
 
+    def _rack_width(self) -> int:
+        """Common rack width ``w`` when rack ``k`` holds rows
+        ``[k·w, (k+1)·w)`` (the last rack may be shorter), else 0.
+
+        The spec's racks always tile this way; it is what lets a
+        contiguous run of rows fold into its racks by reshaping.
+        """
+        w = self._rack_grid
+        if w is None:
+            r = self.n_racks
+            lo = self.rack_lo[:r]
+            hi = self.rack_hi[:r]
+            w = int(hi[0] - lo[0]) if r else 0
+            k = np.arange(r)
+            if not (r and (lo == k * w).all()
+                    and (hi[:-1] == lo[1:]).all() and hi[-1] - lo[-1] <= w):
+                w = 0
+            self._rack_grid = w
+        return w
+
+    def _fold_power(self, rows: np.ndarray, oldp: np.ndarray,
+                    newp: np.ndarray) -> None:
+        """Fold per-row power changes into the racks and, once attached,
+        the pool — the watcher half of the scalar power funnel.
+
+        Entry ``j`` says row ``rows[j]`` went from ``oldp[j]`` to
+        ``newp[j]``; entries are in the scalar funnel's order and
+        unchanged entries notify nobody, as ``_record_power`` skips
+        them.  ``rows`` is strictly ascending, or non-increasing (the
+        stop kernel's victim order, a row repeated per delta).  The
+        scalar funnel interleaves (rack, pool) per delta, but the two
+        accumulators are disjoint, so racks-then-pool reproduces both
+        delta subsequences exactly.
+        """
+        changed = newp != oldp
+        if not changed.any():
+            return
+        deltas = newp - oldp
+        pool = self.pool_agg
+        run = run_rows(rows)
+        # A contiguous run folds whole: unchanged entries are exact
+        # ``+ 0.0`` adds and only the changed ones count as updates.
+        # (Victim order never looks like a run: it descends.)
+        if (isinstance(run, slice)
+                and self._fold_rack_run(run.start, run.stop, oldp, deltas)):
+            if pool is not None:
+                pool._fold_farm_deltas(rows, oldp, deltas)
+            return
+        if not changed.all():
+            rows = rows[changed]
+            oldp = oldp[changed]
+            deltas = deltas[changed]
+        self._fold_rack_deltas(rows, oldp, deltas)
+        if pool is not None:
+            pool._fold_farm_deltas(rows, oldp, deltas)
+
+    def _fold_rack_run(self, a: int, b: int, old: np.ndarray,
+                       deltas: np.ndarray) -> bool:
+        """Fold the deltas of rows ``a..b-1`` (zeros = unchanged) into
+        their racks by padding the run to whole racks and reshaping
+        into one row per rack.  Leading and trailing ``+ 0.0`` adds are
+        exact, so each rack's row-cumsum is its scalar left fold.
+        Returns False, folding nothing, unless the racks tile the rows
+        (see :meth:`_rack_width`).
+        """
+        w = self._rack_width()
+        if not w or b > int(self.rack_hi[self.n_racks - 1]):
+            return False
+        s0 = a // w
+        s1 = (b - 1) // w + 1
+        base = s0 * w
+        pad = np.zeros((s1 - s0) * w)
+        pad[a - base:b - base] = deltas
+        grid = pad.reshape(s1 - s0, w)
+        newu = self.rack_updates[s0:s1] + np.count_nonzero(grid, axis=1)
+        trig = newu >= self.rack_recompute[s0:s1]
+        sums = np.cumsum(np.concatenate(
+            (self.rack_power[s0:s1, None], grid), axis=1), axis=1)[:, -1]
+        if not trig.any():
+            self.rack_power[s0:s1] = sums
+            self.rack_updates[s0:s1] = newu
+            return True
+        quiet = ~trig
+        self.rack_power[s0:s1][quiet] = sums[quiet]
+        self.rack_updates[s0:s1][quiet] = newu[quiet]
+        for g in np.flatnonzero(trig).tolist():
+            lo = max(a, base + g * w)
+            hi = min(b, base + (g + 1) * w)
+            d = deltas[lo - a:hi - a]
+            keep = d != 0.0
+            self._replay_rack_trigger(s0 + g,
+                                      np.arange(lo, hi)[keep],
+                                      old[lo - a:hi - a][keep], d[keep])
+        return True
+
     def _fold_rack_deltas(self, fidx: np.ndarray, old: np.ndarray,
                           deltas: np.ndarray) -> None:
-        """Fold per-server power deltas into the rack running sums.
+        """Fold changed-row deltas into the rack running sums.
 
-        ``fidx`` is ascending (pool order is rack-major), so each
-        rack's deltas form one contiguous run.  Racks whose update
-        counter stays below the recompute threshold are folded with a
-        zero-padded row-cumsum (trailing ``+ 0.0`` adds are exact);
-        racks that cross it replay the scalar trigger sequence against
-        a snapshot of their row range, reproducing the drift guard's
-        exact re-sum at the exact same update count.
+        Each rack's entries form one contiguous stretch of ``fidx``
+        (ascending or victim order).  Racks whose update counter stays
+        below the recompute threshold are folded with a zero-padded
+        row-cumsum (trailing ``+ 0.0`` adds are exact); racks that
+        cross it replay the scalar trigger sequence against a snapshot
+        of their row range, reproducing the drift guard's exact re-sum
+        at the exact same update count.
         """
         slots = self.rack_slot[fidx]
         m = slots.size
@@ -517,29 +654,17 @@ class VectorFleet:
 
     def _replay_rack_trigger(self, slot: int, gidx: np.ndarray,
                              gold: np.ndarray, gd: np.ndarray) -> None:
-        total = float(self.rack_power[slot])
-        updates = int(self.rack_updates[slot])
-        every = int(self.rack_recompute[slot])
+        """Fold a rack's deltas across its drift guard: the re-sum at
+        the batch's last trigger (earlier ones are discarded by the
+        later re-sum), then the deltas after it."""
         lo, hi = int(self.rack_lo[slot]), int(self.rack_hi[slot])
-        c = gd.size
-        j = 0
-        while j < c:
-            k = every - updates
-            if c - j < k:
-                for d in gd[j:c].tolist():
-                    total += d
-                updates += c - j
-                break
-            for d in gd[j:j + k - 1].tolist():
-                total += d
-            pos = j + k - 1
-            snap = self.power[lo:hi].copy()
-            snap[gidx[pos + 1:] - lo] = gold[pos + 1:]
-            total = float(np.cumsum(snap)[-1])
-            updates = 0
-            j = pos + 1
-        self.rack_power[slot] = total
-        self.rack_updates[slot] = updates
+        pos = _last_trigger(int(self.rack_updates[slot]),
+                            int(self.rack_recompute[slot]), gd.size)
+        snap = self.power[lo:hi].copy()
+        _restore_before(snap, gidx[pos + 1:] - lo, gold[pos + 1:])
+        self.rack_power[slot] = float(np.cumsum(
+            np.concatenate((snap, gd[pos + 1:])))[-1])
+        self.rack_updates[slot] = gd.size - 1 - pos
 
     # ------------------------------------------------------------------
     # Read-only fleet scans
@@ -556,34 +681,15 @@ class VectorFleet:
                                     | (code == C_BOOTING)
                                     | (code == C_WAKING)))
 
-    def pick_startable(self, quarantined=None):
-        """First SLEEPING (else first OFF) server, in pool order,
-        skipping quarantined zones — the On/Off scan, vectorized."""
-        code = self.state_code
-        eligible = None
-        if quarantined:
-            qids = [self._zone_ids[z] for z in quarantined
-                    if z in self._zone_ids]
-            if qids:
-                eligible = ~np.isin(self.zone_id, qids)
-        for target in (C_SLEEPING, C_OFF):
-            mask = code == target
-            if eligible is not None:
-                mask &= eligible
-            hits = np.flatnonzero(mask)
-            if hits.size:
-                return self.objs[int(hits[0])]
-        return None
+    def startable_rows(self, quarantined, count: int) -> np.ndarray:
+        """The first ``count`` startable rows, SLEEPING before OFF, in
+        pool order, skipping quarantined zones — the On/Off scan.
 
-    def pick_startable_many(self, quarantined, count: int) -> list:
-        """The first ``count`` startable servers, SLEEPING before OFF.
-
-        One scan equals ``count`` repeated :meth:`pick_startable`
-        calls because starting a server only removes *it* from the
-        candidate pool.
+        One scan equals ``count`` repeated single picks because
+        starting a server only removes *it* from the candidates.
         """
         if count <= 0:
-            return []
+            return np.zeros(0, dtype=np.int64)
         code = self.state_code
         eligible = None
         if quarantined:
@@ -591,16 +697,17 @@ class VectorFleet:
                     if z in self._zone_ids]
             if qids:
                 eligible = ~np.isin(self.zone_id, qids)
-        picked: list = []
+        picked = []
         for target in (C_SLEEPING, C_OFF):
             mask = code == target
             if eligible is not None:
                 mask &= eligible
-            hits = np.flatnonzero(mask)[:count - len(picked)]
-            picked.extend(self.gather(hits))
-            if len(picked) >= count:
+            hits = np.flatnonzero(mask)[:count]
+            picked.append(hits)
+            count -= hits.size
+            if count <= 0:
                 break
-        return picked
+        return np.concatenate(picked)
 
     def total_demand_w(self) -> float:
         """Uncapped fleet demand (the capper input): ``demand_w()``
@@ -628,138 +735,204 @@ class VectorFleet:
         return np.flatnonzero(~np.isnan(self.cap_w) | (self.tstate != 0))
 
     # ------------------------------------------------------------------
-    # Fused boot storm
+    # Transition kernel: boot, wake, drain + sleep/shut down
     # ------------------------------------------------------------------
-    def boot_many(self, servers):
-        """Boot a batch of OFF servers in one fused storm.
+    def start_many(self, rows) -> list:
+        """Start OFF and SLEEPING rows: ``power_on()`` / ``wake()`` in bulk.
 
-        Replays exactly what ``server.power_on()`` per server would do
-        — the same state-log entries, EnergyMeter folds, rack
-        running-sum delta folds (drift guard included) and transition
-        guard — but with the per-server work in column operations and
-        one shared timer process instead of one process per server.
-        Built for the bring-up storm in ``CoSimulation.__init__``,
-        where tens of thousands of scalar OFF→BOOTING→ACTIVE walks
-        dominate construction time.
+        ``rows`` is the start order: ascending runs of one source state
+        (the controllers pass the lowest SLEEPING rows, then the lowest
+        OFF rows).  Replays exactly what ``power_on()`` on each OFF row
+        and ``wake()`` on each SLEEPING row, in that order, would do —
+        the state-log entries, EnergyMeter flushes, rack and pool delta
+        folds (drift guard included) and the stale-timer guard — with
+        the per-row work in column operations and one completion timer
+        per run and delay instead of one process per server.  Each
+        server's ``_transition`` is its timer, so ``power_on()`` or
+        ``wake()`` on a row still in transition returns it.
 
-        Preconditions (else ``ValueError``, before anything changes):
-        a non-empty batch of this fleet's racked servers, each OFF
-        with no transition in flight, in ascending pool order, with
-        one boot time and positive capacity at the current P/T-state,
-        and no pool aggregate yet — plant bring-up, before the farm
-        attaches.  Returns the shared transition event (servers'
-        ``_transition`` points at it, so a mid-boot ``power_on()``
-        still returns a live event).
+        Every row must be this fleet's, racked, OFF or SLEEPING, with
+        positive capacity at its P/T-state, and appear once, each run
+        ascending; otherwise ``ValueError`` is raised before anything
+        changes.  Returns the timers in the order they were started.
         """
-        if not servers:
-            raise ValueError("boot_many needs at least one server")
-        if self.pool_agg is not None:
+        rows = self._check_rows(rows, "start_many")
+        code = self.state_code[rows]
+        if not ((code == C_OFF) | (code == C_SLEEPING)).all():
+            raise ValueError("start_many starts OFF and SLEEPING rows only")
+        cuts = np.flatnonzero(code[1:] != code[:-1]) + 1
+        rising = np.diff(rows) > 0
+        rising[cuts - 1] = True
+        if not rising.all() or np.unique(rows).size != rows.size:
             raise ValueError(
-                "boot_many runs before the pool aggregate attaches")
-        boot_s = servers[0].boot_s
-        for s in servers:
-            if (getattr(s, "_fleet", None) is not self
-                    or s._transition is not None or s.boot_s != boot_s):
-                raise ValueError(
-                    f"boot_many needs idle servers of this fleet with "
-                    f"one boot time; {s.name} is not one")
-        rows = np.fromiter((s._idx for s in servers), np.int64,
-                           count=len(servers))
-        rack_aggs = self.rack_aggs
-        rack_slot = self.rack_slot
-        p = self.pstate[rows]
-        t = self.tstate[rows]
-        eff = self.capacity[rows] * self._cap_fractions(p, t)
-        if ((rows[1:] <= rows[:-1]).any()
-                or (self.state_code[rows] != C_OFF).any()
-                or (rack_slot[rows] < 0).any()
-                or not (eff > 0.0).all()):
-            raise ValueError(
-                "boot_many needs OFF, racked servers with positive "
-                "capacity, in ascending pool order")
+                "start_many rows appear once, each run of one source "
+                "state ascending")
+        eff = self.capacity[rows] * self._cap_fractions(self.pstate[rows],
+                                                        self.tstate[rows])
+        if not (eff > 0.0).all():
+            raise ValueError("start_many needs positive capacity")
+        timers: list = []
+        for run in np.split(rows, cuts):
+            timers.extend(self._start_run(run))
+        return timers
 
-        env = self.env
-        now = env.now
-        booting = _STATES[C_BOOTING]
-        for s in servers:
-            s.state_log.append((now, booting))
-        self.state_code[rows] = C_BOOTING
-        self.mutation_epoch += 1
-        for slot in np.unique(rack_slot[rows]).tolist():
-            # FleetAggregate.state_changed on OFF→BOOTING only drops
-            # the roster cache (the active count is untouched).
-            rack_aggs[slot]._active_cache = None
-        # The scalar power funnel: flush the held EnergyMeter segment
-        # at the old power, then publish the new sample and fold the
-        # deltas into the rack running sums.
+    def stop_many(self, rows, to_sleep: bool) -> None:
+        """Drain ACTIVE rows, then sleep or shut them down, in bulk.
+
+        ``rows`` is the victim order, strictly descending: the
+        controllers take the highest ACTIVE rows, back to front.
+        Replays ``set_offered_load(0.0)`` then ``sleep()`` (or
+        ``shut_down()``) per row in that order — two power deltas per
+        server, folded into the rack and pool at the scalar update
+        counts.  Rows that are not this fleet's, racked and ACTIVE, or
+        not descending, raise ``ValueError`` before anything changes.
+        """
+        rows = self._check_rows(rows, "stop_many")
+        if (np.diff(rows) >= 0).any():
+            raise ValueError("stop_many rows are strictly descending")
+        if not (self.state_code[rows] == C_ACTIVE).all():
+            raise ValueError("stop_many stops ACTIVE rows only")
+        final = C_SLEEPING if to_sleep else C_OFF
+        now = self.env.now
+        oldp = self._flush(rows, now)
+        # The drain: a loaded row re-evaluates its power at zero load
+        # (an unloaded one only flushes its meter, done above).
+        mid = oldp.copy()
+        busy = self.offered[rows] != 0.0
+        if busy.any():
+            brows = rows[busy]
+            self.offered[brows] = 0.0
+            p = self.pstate[brows]
+            t = self.tstate[brows]
+            eff = self.capacity[brows] * self._cap_fractions(p, t)
+            mid[busy] = self._active_power(brows, np.zeros(brows.size),
+                                           eff, p, t)
+        entry = (now, _STATES[final])
+        for s in self.gather(rows):
+            s.state_log.append(entry)
+        self.state_code[rows] = final
+        self._note_states(rows, -1)
         self.eff_cap[rows] = 0.0
+        newp = (self.sleep_w if to_sleep else self.off_w)[rows]
+        self.power[rows] = newp
+        # Per victim: the drain delta, then the stop delta.
+        self._fold_power(np.repeat(rows, 2),
+                         np.column_stack((oldp, mid)).ravel(),
+                         np.column_stack((mid, newp)).ravel())
+
+    def _check_rows(self, rows, what: str) -> np.ndarray:
+        rows = np.array(rows, dtype=np.int64, ndmin=1)
+        if rows.size == 0:
+            raise ValueError(f"{what} needs at least one row")
+        if int(rows.min()) < 0 or int(rows.max()) >= self.n_claimed:
+            raise ValueError(f"{what} rows must be this fleet's servers")
+        if (self.rack_slot[rows] < 0).any():
+            raise ValueError(f"{what} needs racked rows")
+        return rows
+
+    def _flush(self, rows: np.ndarray, now: float) -> np.ndarray:
+        """Close the held EnergyMeter segments; returns (a copy of) the
+        held power."""
         oldp = self.power[rows].copy()
         self.energy_j[rows] += oldp * (now - self.t_last[rows])
         self.t_last[rows] = now
-        newp = self.boot_w[rows].copy()
-        self.power[rows] = newp
-        changed = newp != oldp
-        if changed.any():
-            fidx = rows[changed]
-            old = oldp[changed]
-            self._fold_rack_deltas(fidx, old, newp[changed] - old)
+        return oldp
 
+    def _note_states(self, rows: np.ndarray, dactive: int) -> None:
+        """The watchers' side of ``_set_state`` for a batch of rows:
+        drop the rack and pool rosters and move each active count by
+        ``dactive`` per row."""
+        self.mutation_epoch += 1
+        slots = self.rack_slot[rows]
+        for slot in np.unique(slots).tolist():
+            self.rack_aggs[slot]._active_cache = None
+        if dactive:
+            np.add.at(self.rack_active, slots, dactive)
+        pool = self.pool_agg
+        if pool is not None:
+            pool._active_cache = None
+            pool._active_idx = None
+            pool._active_count += dactive * rows.size
+
+    def _start_run(self, run: np.ndarray) -> list:
+        """OFF→BOOTING or SLEEPING→WAKING for an ascending run of rows
+        in one source state; returns its completion timers."""
+        if self.state_code[run[0]] == C_OFF:
+            interim, attr = C_BOOTING, "boot_s"
+        else:
+            interim, attr = C_WAKING, "wake_s"
+        now = self.env.now
+        objs = self.gather(run)
+        entry = (now, _STATES[interim])
+        for s in objs:
+            s.state_log.append(entry)
+        self.state_code[run] = interim
+        self._note_states(run, 0)
+        oldp = self._flush(run, now)
+        self.eff_cap[run] = 0.0
+        newp = self.boot_w[run]
+        self.power[run] = newp
+        self._fold_power(run, oldp, newp)
+        # One timer per delay, started in order of first appearance:
+        # same-time completions then run in start order, as the
+        # per-server timers would.
+        delays = [getattr(s, attr) for s in objs]
+        if delays.count(delays[0]) == len(delays):
+            return [self._start_timer(run, objs, interim, delays[0])]
+        groups: dict = {}
+        for k, delay in enumerate(delays):
+            groups.setdefault(delay, []).append(k)
+        return [self._start_timer(run[ks], [objs[k] for k in ks],
+                                  interim, delay)
+                for delay, ks in groups.items()]
+
+    def _start_timer(self, rows: np.ndarray, objs: list, interim: int,
+                     delay: float):
         fleet = self
-        active = _STATES[C_ACTIVE]
 
         def body(env):
-            yield env.timeout(boot_s)
-            t1 = env.now
-            # Same guard as the scalar transition body: only rows
-            # still BOOTING complete; anything preempted (e.g. a
-            # protective fail) keeps its new state.
-            still = fleet.state_code[rows] == C_BOOTING
-            brows = rows[still]
-            objs = fleet.gather(brows)
-            if fleet.pool_agg is not None:
-                # The pool attached mid-boot: replay the scalar walk,
-                # which notifies it too.
-                for s in objs:
-                    s._set_state(active)
-                    s._transition = None
-                for s in servers:
-                    if s._transition is proc:
-                        s._transition = None
-                return
-            if brows.size:
-                for s in objs:
-                    s.state_log.append((t1, active))
-                fleet.state_code[brows] = C_ACTIVE
-                fleet.mutation_epoch += 1
-                slots = rack_slot[brows]
-                for slot in np.unique(slots).tolist():
-                    agg = rack_aggs[slot]
-                    agg._active_cache = None
-                np.add.at(fleet.rack_active, slots, 1)
-                bp = fleet.pstate[brows]
-                bt = fleet.tstate[brows]
-                beff = fleet.capacity[brows] * fleet._cap_fractions(bp, bt)
-                oldp = fleet.power[brows].copy()
-                fleet.energy_j[brows] += oldp * (t1 - fleet.t_last[brows])
-                fleet.t_last[brows] = t1
-                fleet.eff_cap[brows] = beff
-                newp = fleet._active_power(brows, fleet.offered[brows],
-                                           beff, bp, bt)
-                fleet.power[brows] = newp
-                changed = newp != oldp
-                if changed.any():
-                    fidx = brows[changed]
-                    old = oldp[changed]
-                    fleet._fold_rack_deltas(fidx, old,
-                                            newp[changed] - old)
-            for s in servers:
-                if s._transition is proc:
-                    s._transition = None
+            yield env.timeout(delay)
+            fleet._finish(rows, objs, interim, proc)
 
-        proc = env.process(body(env), name="fleet:boot_many")
-        for s in servers:
+        proc = self.env.process(body(self.env),
+                                name=f"fleet:{_STATES[interim].value}")
+        for s in objs:
             s._transition = proc
         return proc
+
+    def _finish(self, rows: np.ndarray, objs: list, interim: int,
+                proc) -> None:
+        """Complete ``proc``'s transitions: the scalar guard, batched.
+
+        A row completes only while ``proc`` still owns it and it is
+        still in ``interim`` — a fail() keeps its new state, and after
+        fail → repair → restart the newer transition owns the row.
+        """
+        mine = np.zeros(len(objs), dtype=bool)
+        for k, s in enumerate(objs):
+            if s._transition is proc:
+                s._transition = None
+                mine[k] = True
+        mine &= self.state_code[rows] == interim
+        if not mine.all():
+            rows = rows[mine]
+            objs = [s for s, keep in zip(objs, mine.tolist()) if keep]
+        if rows.size == 0:
+            return
+        now = self.env.now
+        entry = (now, _STATES[C_ACTIVE])
+        for s in objs:
+            s.state_log.append(entry)
+        self.state_code[rows] = C_ACTIVE
+        self._note_states(rows, 1)
+        p = self.pstate[rows]
+        t = self.tstate[rows]
+        eff = self.capacity[rows] * self._cap_fractions(p, t)
+        oldp = self._flush(rows, now)
+        self.eff_cap[rows] = eff
+        newp = self._active_power(rows, self.offered[rows], eff, p, t)
+        self.power[rows] = newp
+        self._fold_power(rows, oldp, newp)
 
     def __repr__(self) -> str:
         return (f"<VectorFleet n={self.n} claimed={self.n_claimed} "

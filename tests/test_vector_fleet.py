@@ -287,17 +287,29 @@ def test_foreign_watcher_raises():
         RequestFarm(env, servers)
 
 
-def test_boot_many_refuses_bad_batches():
+def test_start_many_refuses_bad_batches():
     env, fleet, servers = make_fleet(4)
+    with pytest.raises(ValueError):
+        fleet.start_many([0, 1])                # no rack yet
     fleet.make_aggregate(servers, 4096, kind="rack")
     with pytest.raises(ValueError):
-        fleet.boot_many([])
+        fleet.start_many([])
     with pytest.raises(ValueError):
-        fleet.boot_many(servers[::-1])          # not in pool order
+        fleet.start_many([3, 2, 1, 0])          # not in pool order
+    with pytest.raises(ValueError):
+        fleet.start_many([0, 4])                # not this fleet's row
     servers[0].power_on()
     with pytest.raises(ValueError):
-        fleet.boot_many(servers)                # a transition in flight
+        fleet.start_many([0, 1, 2, 3])          # a transition in flight
     assert fleet.state_code.tolist() == [1, 0, 0, 0]
+    with pytest.raises(ValueError):
+        fleet.stop_many([1], to_sleep=True)     # not ACTIVE
+    env.run(until=121.0)
+    fleet.start_many([1, 2])
+    env.run(until=242.0)
+    with pytest.raises(ValueError):
+        fleet.stop_many([0, 1], to_sleep=True)  # not back to front
+    assert fleet.state_code.tolist() == [2, 2, 2, 0]
 
 
 def test_nonlinear_model_batches_bit_exactly():
@@ -319,8 +331,7 @@ def test_nonlinear_model_batches_bit_exactly():
     for s, t in zip(servers[:3], twins[:3]):
         s.power_on(), t.power_on()
     env.run(until=121.0), env2.run(until=121.0)
-    pool.batcher().dispatch_loads(
-        _EqualSplit(), 170.0, pool.active_servers())
+    pool.batcher().dispatch_loads(_EqualSplit(), 170.0)
     for t, share in zip(twins[:3], _EqualSplit().split(
             170.0, twins[:3])):
         t.set_offered_load(share)
@@ -404,8 +415,7 @@ def test_dispatch_loads_matches_scalar_split():
         s.power_on(), t.power_on()
     env.run(until=121.0), env2.run(until=121.0)
     policy = WeightedSplit()
-    active = pool.active_servers()
-    served = pool.batcher().dispatch_loads(policy, 260.0, active)
+    served = pool.batcher().dispatch_loads(policy, 260.0)
     shares = policy.split(260.0, [t for t in twins
                                   if t.state is ServerState.ACTIVE])
     expected = 0.0
@@ -430,12 +440,12 @@ def test_pick_startable_prefers_sleeping_and_respects_quarantine():
     env.run(until=121.0)
     servers[0].sleep()
     servers[2].sleep()
-    assert fleet.pick_startable() is servers[0]
-    assert fleet.pick_startable(quarantined={"hot"}) is servers[2]
-    picks = fleet.pick_startable_many({"hot"}, 3)
-    assert picks == [servers[2], servers[3], servers[4]]
+    assert fleet.startable_rows(None, 1).tolist() == [0]
+    assert fleet.startable_rows({"hot"}, 1).tolist() == [2]
+    assert fleet.startable_rows({"hot"}, 3).tolist() == [2, 3, 4]
+    assert fleet.startable_rows(None, 9).tolist() == [0, 2, 3, 4]
     # No candidates at all.
-    assert fleet.pick_startable(quarantined={"hot", "cold"}) is None
+    assert fleet.startable_rows({"hot", "cold"}, 1).size == 0
 
 
 def test_total_demand_and_uncap_candidates():
@@ -609,8 +619,7 @@ def test_total_energy_identical_despite_lazy_meters():
             for srv in (servers[5], twins[5]):
                 srv.set_offered_load(0.0)
                 srv.sleep()
-        pool.batcher().fused_dispatch(policy, load,
-                                      pool.active_servers())
+        pool.batcher().fused_dispatch(policy, load)
         active = [t for t in twins if t.state is ServerState.ACTIVE]
         for t in twins:
             if t.state is not ServerState.ACTIVE and t.offered_load:
