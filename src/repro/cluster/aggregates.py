@@ -14,11 +14,16 @@ tick only pays for the servers that actually changed.
 
 Invariants
 ----------
-* ``power_w`` equals the sum of the member servers' cached wall draw
-  (``Server._power_w``).  Servers push ``power_changed`` deltas from
-  ``Server._record_power`` — the single funnel every power-relevant
-  mutation already flows through — so the aggregate can never miss an
-  update.
+* ``power_w`` is an exact ledger: the aggregate holds ``_q``, the
+  integer sum of the members' cached wall draw in
+  :data:`~repro.cluster.server.QUANTUM_W` quanta
+  (:func:`~repro.cluster.server.quanta` of ``Server._power_w``), and
+  reads it out as ``_q * QUANTUM_W``.  Servers push the change in
+  quanta from ``Server._record_power`` — the single funnel every
+  power-relevant mutation already flows through — so the aggregate can
+  never miss an update, and integer addition makes every fold exact
+  whatever its order: there is nothing to drift and nothing to
+  re-sum.
 * ``active_count`` is maintained with exact integer arithmetic from
   ``state_changed`` notifications and therefore never drifts.
 * ``active_servers()`` returns the ACTIVE members **in pool order**
@@ -26,30 +31,18 @@ Invariants
   roster is cached and only rebuilt after a state change, so steady
   state queries are O(1).
 
-Drift guard
------------
-Floating-point delta accumulation is not associative, so ``power_w``
-can drift a few ulps away from a fresh sum.  Every
-``recompute_every`` pushed deltas the aggregate re-sums the cached
-per-server values exactly (a left fold in pool order).  The trigger is
-an update *count*, not wall time, so runs remain bit-for-bit
-reproducible for a given seed.  :meth:`recompute_exact` forces the
-re-sum on demand and reports the drift it corrected — the determinism
-regression tests pin it below 1e-6 relative.
+:meth:`FleetAggregate.recompute_exact` and :meth:`FleetAggregate.verify`
+recount from the servers and report (and repair) any difference — zero
+unless something corrupted the ledger.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.cluster.server import Server, ServerState
+from repro.cluster.server import QUANTUM_W, Server, ServerState, quanta
 
 __all__ = ["FleetAggregate", "make_pool_aggregate"]
-
-#: Pushed-delta count between exact re-sums.  Small enough that drift
-#: stays far below reporting precision, large enough that the O(fleet)
-#: re-sum is amortized to nothing (one scan per ~4k server updates).
-RECOMPUTE_EVERY = 4096
 
 
 class FleetAggregate:
@@ -61,36 +54,25 @@ class FleetAggregate:
     long as their simulation.
     """
 
-    __slots__ = ("servers", "recompute_every", "_power_w",
-                 "_active_count", "_active_cache", "_updates")
+    __slots__ = ("servers", "_q", "_active_count", "_active_cache")
 
-    def __init__(self, servers: typing.Sequence[Server],
-                 recompute_every: int = RECOMPUTE_EVERY):
-        if recompute_every < 1:
-            raise ValueError("recompute_every must be >= 1")
+    def __init__(self, servers: typing.Sequence[Server]):
         self.servers = list(servers)
-        self.recompute_every = int(recompute_every)
-        self._updates = 0
         self._active_cache: list[Server] | None = None
-        power = 0.0
         count = 0
         for server in self.servers:
             server.add_watcher(self)
-            power += server._power_w
             count += server._state is ServerState.ACTIVE
-        self._power_w = power
+        self._q = self._count_q()
         self._active_count = count
 
     # ------------------------------------------------------------------
     # Watcher protocol (called by Server on every relevant mutation)
     # ------------------------------------------------------------------
-    def power_changed(self, server: Server, delta: float) -> None:
-        """Fold one server's wall-power change into the running sum."""
-        self._updates += 1
-        if self._updates >= self.recompute_every:
-            self.recompute_exact()
-        else:
-            self._power_w += delta
+    def power_changed(self, server: Server, dq: int) -> None:
+        """Fold one server's wall-power change, in quanta, into the
+        ledger."""
+        self._q += dq
 
     def state_changed(self, server: Server, old: ServerState,
                       new: ServerState) -> None:
@@ -107,8 +89,8 @@ class FleetAggregate:
     # ------------------------------------------------------------------
     @property
     def power_w(self) -> float:
-        """Total wall draw of the pool (event-driven running sum)."""
-        return self._power_w
+        """Total wall draw of the pool (the exact quanta ledger)."""
+        return self._q * QUANTUM_W
 
     @property
     def active_count(self) -> int:
@@ -130,27 +112,27 @@ class FleetAggregate:
                 if s._state is ServerState.ACTIVE]
         return roster
 
-    def recompute_exact(self) -> float:
-        """Re-sum cached per-server power exactly; returns |drift|.
+    def _count_q(self) -> int:
+        """The members' cached wall draw, counted afresh in quanta."""
+        return sum(quanta(server._power_w) for server in self.servers)
 
-        A left fold over the pool in order, identical to what a cold
-        scan would produce from the same cached values.  Called
-        automatically every ``recompute_every`` deltas and available
-        to tests that want to bound accumulated float drift.
+    def recompute_exact(self) -> float:
+        """Recount the ledger from the cached per-server power; returns
+        the |drift| it repaired, in watts.
+
+        The pushed changes keep the ledger exact, so the drift is 0.0
+        unless something wrote the ledger behind the funnel's back.
         """
-        power = 0.0
-        for server in self.servers:
-            power += server._power_w
-        drift = abs(power - self._power_w)
-        self._power_w = power
-        self._updates = 0
+        q = self._count_q()
+        drift = abs(q - self._q) * QUANTUM_W
+        self._q = q
         return drift
 
     def verify(self) -> dict:
         """Exact-recompute *every* cached aggregate; repair and report.
 
-        Goes beyond the routine :meth:`recompute_exact` drift guard:
-        the active count is recounted, and the cached roster (if one
+        Goes beyond the :meth:`recompute_exact` ledger recount: the
+        active count is recounted, and the cached roster (if one
         is materialized) is rebuilt and compared.  Any disagreement is
         repaired in place.  Designed as the control plane's
         reconciliation-loop self-heal — cheap enough to run every few
@@ -182,11 +164,10 @@ class FleetAggregate:
 
     def __repr__(self) -> str:
         return (f"<FleetAggregate n={len(self.servers)} "
-                f"active={self._active_count} {self._power_w:.0f}W>")
+                f"active={self._active_count} {self.power_w:.0f}W>")
 
 
 def make_pool_aggregate(servers: typing.Sequence[Server],
-                        recompute_every: int = RECOMPUTE_EVERY,
                         kind: str = "pool") -> FleetAggregate:
     """Build the aggregate for ``servers``.
 
@@ -199,5 +180,5 @@ def make_pool_aggregate(servers: typing.Sequence[Server],
     """
     fleet = getattr(servers[0], "_fleet", None) if servers else None
     if fleet is not None:
-        return fleet.make_aggregate(servers, recompute_every, kind)
-    return FleetAggregate(servers, recompute_every)
+        return fleet.make_aggregate(servers, kind)
+    return FleetAggregate(servers)

@@ -20,7 +20,8 @@ import enum
 from repro.power.models import ServerPowerModel, TYPICAL_2008_SERVER
 from repro.sim import Environment, Event, Monitor
 
-__all__ = ["Server", "ServerState", "InvalidTransition", "POWERED_STATES"]
+__all__ = ["Server", "ServerState", "InvalidTransition", "POWERED_STATES",
+           "QUANTUM_W", "quanta"]
 
 
 class ServerState(enum.Enum):
@@ -39,6 +40,18 @@ class ServerState(enum.Enum):
 #: does not wait for a machine to be serving traffic.
 POWERED_STATES = (ServerState.BOOTING, ServerState.ACTIVE,
                   ServerState.SLEEPING, ServerState.WAKING)
+
+
+#: The power ledger's unit: aggregates sum whole quanta of this many
+#: watts, so every fold is exact integer addition in any order.
+#: Scaling by 2**32 is exact, and both ``round`` and ``np.rint`` round
+#: half to even, so a row's quanta agree bit for bit on either side.
+QUANTUM_W = 2.0 ** -32
+
+
+def quanta(watts: float) -> int:
+    """``watts`` in whole :data:`QUANTUM_W` quanta (half to even)."""
+    return round(watts * 2.0 ** 32)
 
 
 class InvalidTransition(RuntimeError):
@@ -106,8 +119,9 @@ class Server:
         """Register an observer of state transitions and power deltas.
 
         ``watcher`` needs ``state_changed(server, old, new)`` and
-        ``power_changed(server, delta)``.  There is no detach: watchers
-        live as long as the simulation.
+        ``power_changed(server, dq)``, ``dq`` the non-zero change in
+        :func:`quanta`.  There is no detach: watchers live as long as
+        the simulation.
         """
         self._watchers.append(watcher)
 
@@ -265,9 +279,12 @@ class Server:
         return self._pstate
 
     def set_pstate(self, index: int) -> None:
-        """Command a P-state (DVFS policy interface)."""
+        """Command a P-state (DVFS policy interface); re-commanding the
+        current one changes nothing."""
         if not 0 <= index < len(self.model.pstates):
             raise ValueError(f"P-state {index} out of range")
+        if index == self._pstate:
+            return
         self._pstate = index
         self._record_power()
 
@@ -349,8 +366,10 @@ class Server:
 
         The single funnel for power changes: refreshes the
         :meth:`power_w` and :attr:`effective_capacity` caches and
-        notifies watching aggregates so fleet/rack sums stay current
-        without ever scanning.
+        pushes the change in :func:`quanta` to watching aggregates, so
+        fleet/rack sums stay current — and exact — without ever
+        scanning.  A change too small to move the quanta notifies
+        nobody.
         """
         if self._state is ServerState.ACTIVE:
             self._eff_cap = self.capacity * self.model.capacity_fraction(
@@ -362,8 +381,10 @@ class Server:
         old = self._power_w
         if power != old:
             self._power_w = power
-            for watcher in self._watchers:
-                watcher.power_changed(self, power - old)
+            dq = quanta(power) - quanta(old)
+            if dq:
+                for watcher in self._watchers:
+                    watcher.power_changed(self, dq)
 
     def energy_j(self, start: float | None = None,
                  end: float | None = None) -> float:

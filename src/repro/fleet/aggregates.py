@@ -1,25 +1,24 @@
-"""Vectorized fleet aggregates: batch kernels with scalar-exact folds.
+"""Vectorized fleet aggregates: batch kernels over the exact ledger.
 
 :class:`VectorAggregate` is the farm-wide pool aggregate of a
 :class:`~repro.fleet.plant.VectorFleet`; :class:`VectorRackAggregate`
-is the per-rack one, its running state stored in fleet rack columns.
-Both subclass the object-path :class:`~repro.cluster.aggregates
-.FleetAggregate`, so the scalar watcher protocol — one
-``power_changed`` delta at a time, drift-guard recompute every
-``recompute_every`` updates — keeps working unchanged.
+is the per-rack one, its ledger and active count stored in fleet rack
+columns.  Both subclass the object-path :class:`~repro.cluster
+.aggregates.FleetAggregate`, so the scalar watcher protocol — one
+``power_changed`` change in quanta at a time — keeps working
+unchanged.
 
 On top, the farm aggregate exposes *batch* entry points (bulk load
 application, bulk P-state moves, vectorized roster/utilization/demand
-queries).  Each batch replays the scalar sequence bit-exactly:
+queries).  Each batch lands on the state the scalar sequence reaches:
 
-* delta folds are sequential left folds (``np.cumsum`` with the
-  running total prepended — numpy's cumsum is a sequential fold, so
-  the result equals ``total += d`` one delta at a time);
-* the drift guard triggers at the exact same update counts, and the
-  exact re-sum it performs is reproduced against a snapshot in which
-  servers *after* the trigger point still hold their pre-update power;
 * power evaluation uses the fleet's batch kernel (see ``plant``),
-  which is scalar-exact for the fleet's one power model.
+  which is scalar-exact for the fleet's one power model;
+* the rack and pool ledgers are integer sums of quanta, so the
+  fleet's one fold (``VectorFleet._fold_power``) matches the scalar
+  pushes bit for bit whatever order it adds them in;
+* the served amount and the farm means are sequential left folds
+  (``np.cumsum``), the scalar accumulation order.
 
 The fleet checks its wiring as it is built (see ``plant``): every
 server is watched by exactly its rack aggregate and this aggregate.
@@ -34,13 +33,7 @@ import typing
 import numpy as np
 
 from repro.cluster.aggregates import FleetAggregate
-from repro.fleet.plant import (
-    C_ACTIVE,
-    VectorFleet,
-    _last_trigger,
-    _restore_before,
-    run_rows,
-)
+from repro.fleet.plant import C_ACTIVE, VectorFleet, quanta_array, run_rows
 
 __all__ = ["VectorAggregate", "VectorRackAggregate"]
 
@@ -51,8 +44,7 @@ class VectorAggregate(FleetAggregate):
     __slots__ = ("_fleet", "_active_idx", "_dispatch_memo",
                  "_util_memo", "_resp_memo")
 
-    def __init__(self, fleet: VectorFleet, servers: typing.Sequence,
-                 recompute_every: int):
+    def __init__(self, fleet: VectorFleet, servers: typing.Sequence):
         self._fleet = fleet
         self._active_idx: np.ndarray | None = None
         # Fused sense-pipeline memos, all keyed on the fleet's
@@ -63,7 +55,7 @@ class VectorAggregate(FleetAggregate):
         # Registered first: the servers' add_watcher accepts only
         # the fleet's pool as their second watcher.
         fleet.pool_agg = self
-        super().__init__(servers, recompute_every)
+        super().__init__(servers)
 
     # ------------------------------------------------------------------
     # Scalar watcher protocol (roster cache gains an index twin)
@@ -88,12 +80,8 @@ class VectorAggregate(FleetAggregate):
                 self.active_indices())
         return roster
 
-    def recompute_exact(self) -> float:
-        power = float(np.cumsum(self._fleet.power)[-1])
-        drift = abs(power - self._power_w)
-        self._power_w = power
-        self._updates = 0
-        return drift
+    def _count_q(self) -> int:
+        return int(quanta_array(self._fleet.power).sum())
 
     def verify(self) -> dict:
         power_drift = self.recompute_exact()
@@ -210,15 +198,23 @@ class VectorAggregate(FleetAggregate):
         return served
 
     def batch_set_pstate(self, index: int) -> None:
-        """Command ``index`` on every ACTIVE server, in pool order."""
+        """Command ``index`` on every ACTIVE server, in pool order.
+
+        Rows already at ``index`` are skipped, as ``Server.set_pstate``
+        skips them, so re-commanding the current P-state flushes no
+        meter and leaves the mutation epoch (and the memos keyed on
+        it) alone.  A contiguous set of moving rows is read and
+        written through slices.
+        """
         fleet = self._fleet
         if not 0 <= index < fleet.n_pstates:
             raise ValueError(f"P-state {index} out of range")
         idx = self.active_indices()
-        if idx.size == 0:
-            return
-        # A contiguous active run is read and written through slices;
-        # the delta fold below keeps the row array.
+        moving = fleet.pstate[run_rows(idx)] != index
+        if not moving.all():
+            if not moving.any():
+                return
+            idx = idx[moving]
         rows = run_rows(idx)
         now = fleet.env.now
         oldp = fleet._flush(rows, now)
@@ -230,7 +226,7 @@ class VectorAggregate(FleetAggregate):
                                    index, tstates)
         fleet.power[rows] = newp
         fleet.mutation_epoch += 1
-        fleet._fold_power(idx, oldp, newp)
+        fleet._fold_power(rows, oldp, newp)
 
     def _apply_active_loads(self, idx: np.ndarray,
                             loads: np.ndarray) -> None:
@@ -264,37 +260,7 @@ class VectorAggregate(FleetAggregate):
         newp = fleet._active_power(rows, loads, fleet.eff_cap[rows],
                                    fleet.pstate[rows], fleet.tstate[rows])
         fleet.power[rows] = newp
-        fleet._fold_power(idx, oldp, newp)
-
-    def _fold_farm_deltas(self, fidx: np.ndarray, old: np.ndarray,
-                          deltas: np.ndarray) -> None:
-        """Fold deltas into the pool sum (zero entries are unchanged
-        rows: exact ``+ 0.0`` adds that do not count as updates).
-
-        The scalar drift guard re-sums exactly at every
-        ``recompute_every``-th update and discards the running total,
-        so only the batch's *last* trigger matters: the new sum is the
-        re-sum there — against a snapshot in which rows updated later
-        in the batch still hold their earlier power — followed by the
-        deltas after it, all one left fold.
-        """
-        every = self.recompute_every
-        updates = self._updates
-        m = np.count_nonzero(deltas)
-        if updates + m < every:
-            self._power_w = float(np.cumsum(
-                np.concatenate(([self._power_w], deltas)))[-1])
-            self._updates = updates + m
-            return
-        if m < deltas.size:
-            keep = deltas != 0.0
-            fidx, old, deltas = fidx[keep], old[keep], deltas[keep]
-        pos = _last_trigger(updates, every, m)
-        snap = self._fleet.power.copy()
-        _restore_before(snap, fidx[pos + 1:], old[pos + 1:])
-        self._power_w = float(np.cumsum(
-            np.concatenate((snap, deltas[pos + 1:])))[-1])
-        self._updates = m - 1 - pos
+        fleet._fold_power(rows, oldp, newp)
 
     # ------------------------------------------------------------------
     # Vectorized read-only queries
@@ -348,37 +314,28 @@ class VectorRackAggregate(FleetAggregate):
     """Per-rack aggregate whose running state lives in fleet columns.
 
     The scalar watcher protocol is inherited untouched; the property
-    overrides below move the running sum, update counter and active
-    count into ``rack_power`` / ``rack_updates`` / ``rack_active``
-    slots so the fleet's batch delta fold can see and update every
-    rack without touching aggregate objects.
+    overrides below move the ledger and active count into
+    ``rack_q`` / ``rack_active`` slots so the fleet's batch fold can
+    see and update every rack without touching aggregate objects.
     """
 
     __slots__ = ("_fleet", "_slot", "_lo", "_hi")
 
     def __init__(self, fleet: VectorFleet, lo: int, hi: int,
-                 servers: typing.Sequence, recompute_every: int):
+                 servers: typing.Sequence):
         self._fleet = fleet
         self._lo = lo
         self._hi = hi
-        self._slot = fleet._register_rack(self, lo, hi, recompute_every)
-        super().__init__(servers, recompute_every)
+        self._slot = fleet._register_rack(self, lo, hi)
+        super().__init__(servers)
 
     @property
-    def _power_w(self) -> float:
-        return float(self._fleet.rack_power[self._slot])
+    def _q(self) -> int:
+        return int(self._fleet.rack_q[self._slot])
 
-    @_power_w.setter
-    def _power_w(self, value: float) -> None:
-        self._fleet.rack_power[self._slot] = value
-
-    @property
-    def _updates(self) -> int:
-        return int(self._fleet.rack_updates[self._slot])
-
-    @_updates.setter
-    def _updates(self, value: int) -> None:
-        self._fleet.rack_updates[self._slot] = value
+    @_q.setter
+    def _q(self, value: int) -> None:
+        self._fleet.rack_q[self._slot] = value
 
     @property
     def _active_count(self) -> int:
@@ -388,10 +345,5 @@ class VectorRackAggregate(FleetAggregate):
     def _active_count(self, value: int) -> None:
         self._fleet.rack_active[self._slot] = value
 
-    def recompute_exact(self) -> float:
-        fleet = self._fleet
-        power = float(np.cumsum(fleet.power[self._lo:self._hi])[-1])
-        drift = abs(power - self._power_w)
-        self._power_w = power
-        self._updates = 0
-        return drift
+    def _count_q(self) -> int:
+        return int(quanta_array(self._fleet.power[self._lo:self._hi]).sum())

@@ -6,12 +6,14 @@ thousand.  :class:`VectorCluster` answers the same queries from the
 fleet's rack columns:
 
 * ``heat_by_zone`` becomes one ``np.bincount`` over rack→zone ids
-  weighted by the rack power column.  ``bincount`` accumulates
-  sequentially in input order per bin, so each zone's sum is the
-  bit-exact left fold the dict accumulation produced, and the dict is
-  rebuilt in first-appearance order — byte-identical output.
-* ``power_w`` / ``count_in`` / ``total_effective_capacity`` become
-  array folds over the same columns in pool order.
+  weighted by the racks' power (their ``rack_q`` ledgers in watts).
+  ``bincount`` accumulates sequentially in input order per bin, so
+  each zone's sum is the bit-exact left fold the dict accumulation
+  produced, and the dict is rebuilt in first-appearance order —
+  byte-identical output.
+* ``power_w`` is the exact integer sum of the rack ledgers;
+  ``count_in`` / ``total_effective_capacity`` become array folds over
+  the fleet columns in pool order.
 
 The rack→zone index is built once, at construction: every rack must be
 a zoned vector rack of one fleet, or the constructor raises
@@ -25,7 +27,7 @@ import typing
 import numpy as np
 
 from repro.cluster.rack import Cluster, Rack
-from repro.cluster.server import ServerState
+from repro.cluster.server import QUANTUM_W, ServerState
 from repro.fleet.aggregates import VectorRackAggregate
 from repro.fleet.plant import _STATE_TO_CODE, C_ACTIVE
 
@@ -63,17 +65,17 @@ class VectorCluster(Cluster):
             for r in self.racks])
 
     def power_w(self) -> float:
-        return float(np.cumsum(self._fleet.rack_power[self._slots])[-1])
+        return int(self._fleet.rack_q[self._slots].sum()) * QUANTUM_W
 
     def rack_powers_array(self) -> np.ndarray:
         """Rack draws as one float column, in rack order: element ``i``
         is exactly ``self.racks[i].power_w()``."""
-        return self._fleet.rack_power[self._slots]
+        return self._fleet.rack_q[self._slots] * QUANTUM_W
 
     def heat_by_zone(self) -> dict[str, float]:
         names = self._zone_names
         sums = np.bincount(self._zone_ids,
-                           weights=self._fleet.rack_power[self._slots],
+                           weights=self.rack_powers_array(),
                            minlength=len(names))
         return {name: float(sums[i]) for i, name in enumerate(names)}
 

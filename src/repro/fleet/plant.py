@@ -18,6 +18,16 @@ that replay the exact same IEEE operation sequence (left folds via
 ``np.cumsum``, elementwise min/clip, sequential ``np.bincount``).  The
 vector-fleet tests pin each kernel against plain ``Server`` twins.
 
+Rack and pool power are the scalar aggregates' exact ledger: integer
+sums of :data:`~repro.cluster.server.QUANTUM_W` quanta, an int64
+``rack_q`` column per rack and a Python int in the pool.  A batch
+folds its rows' changes in quanta (:meth:`VectorFleet._fold_power`) —
+one ``np.add.reduceat`` per rack group and one sum for the pool —
+and integer addition gives the same bits in any row order, so a run,
+a scattered set and the stop kernel's victim order share that one
+fold.  The fleet refuses, when it adopts a model, a size whose
+largest possible sum would overflow int64.
+
 A fleet is wired one way, and the wiring is checked as it is built,
 never at run time:
 
@@ -79,29 +89,9 @@ def run_rows(idx: np.ndarray):
     return idx
 
 
-def _last_trigger(updates: int, every: int, m: int) -> int:
-    """Index of the last of ``m`` updates at which a drift guard that
-    has counted ``updates`` re-sums (every ``every``-th update); the
-    caller has checked that ``updates + m >= every``."""
-    first = every - updates - 1
-    return first + (m - 1 - first) // every * every
-
-
-def _restore_before(snap: np.ndarray, rows: np.ndarray,
-                    old: np.ndarray) -> None:
-    """``snap[rows] = old``, the *first* entry winning for a row that
-    repeats: its value before any of the batch's deltas landed.
-
-    ``rows`` is strictly ascending (no repeats, a plain store) or
-    non-increasing — the stop kernel's victim order, where a drained
-    and stopped row appears twice and a fancy store would keep its
-    second, mid-batch value.
-    """
-    if rows.size < 2 or rows[0] < rows[-1]:
-        snap[rows] = old
-    else:
-        uniq, first = np.unique(rows, return_index=True)
-        snap[uniq] = old[first]
+def quanta_array(watts: np.ndarray) -> np.ndarray:
+    """Element-wise :func:`~repro.cluster.server.quanta`, as int64."""
+    return np.rint(watts * 2.0 ** 32).astype(np.int64)
 
 
 def _pow_elements(x: np.ndarray, r: float) -> np.ndarray:
@@ -242,17 +232,13 @@ class VectorFleet:
         self.has_tstates = False
         self.n_pstates = 0
         self.nonlinearity = 1.0
-        # Rack slots (amortized-doubling columns, like server rows).
+        # Rack slots (amortized-doubling columns, like server rows):
+        # each rack's power ledger in quanta and its active count.
         self.n_racks = 0
         cap = 8
-        self.rack_power = np.zeros(cap, dtype=f8)
-        self.rack_updates = np.zeros(cap, dtype=np.int64)
+        self.rack_q = np.zeros(cap, dtype=np.int64)
         self.rack_active = np.zeros(cap, dtype=np.int64)
-        self.rack_recompute = np.zeros(cap, dtype=np.int64)
-        self.rack_lo = np.zeros(cap, dtype=np.int64)
-        self.rack_hi = np.zeros(cap, dtype=np.int64)
         self.rack_aggs: list = []
-        self._rack_grid: int | None = None   # see _rack_width
         #: The whole-fleet pool aggregate, once one is made.
         self.pool_agg = None
 
@@ -370,8 +356,15 @@ class VectorFleet:
         The batch kernels read one P/T-state table and one
         nonlinearity.  A later model must match them by *contents* —
         distinct table objects with equal fraction matrices give
-        bit-identical results — or the fleet refuses it.
+        bit-identical results — or the fleet refuses it.  So does a
+        model whose largest draw, on every row at once, would overflow
+        the int64 power ledger (2**63 quanta, about 2.1 GW).
         """
+        draw = max(model.peak_w, model.boot_w)
+        if self.n * draw >= 2.0 ** 31:
+            raise ValueError(
+                f"{self.n} rows drawing up to {draw} W overflow the "
+                f"fleet's int64 power ledger (2**31 W in all)")
         table = model.pstates
         r = float(model.nonlinearity)
         known = self._table
@@ -404,8 +397,7 @@ class VectorFleet:
     # ------------------------------------------------------------------
     # Aggregate construction
     # ------------------------------------------------------------------
-    def make_aggregate(self, servers: typing.Sequence, recompute_every: int,
-                       kind: str = "pool"):
+    def make_aggregate(self, servers: typing.Sequence, kind: str = "pool"):
         """The vectorized aggregate of ``kind`` over ``servers``.
 
         ``kind="rack"`` claims a contiguous row range no other rack
@@ -434,8 +426,7 @@ class VectorFleet:
             if bool((self.rack_slot[lo:hi] >= 0).any()):
                 raise ValueError(
                     f"rows {lo}..{hi - 1} overlap an existing rack")
-            return VectorRackAggregate(self, lo, hi, servers,
-                                       recompute_every)
+            return VectorRackAggregate(self, lo, hi, servers)
         if lo != 0 or hi != self.n:
             raise ValueError(
                 f"a pool aggregate covers the whole fleet ({self.n} "
@@ -445,26 +436,20 @@ class VectorFleet:
         if bool((self.rack_slot < 0).any()):
             raise ValueError(
                 "build every rack before the pool aggregate")
-        return VectorAggregate(self, servers, recompute_every)
+        return VectorAggregate(self, servers)
 
-    def _register_rack(self, agg, lo: int, hi: int,
-                       recompute_every: int) -> int:
+    def _register_rack(self, agg, lo: int, hi: int) -> int:
         slot = self.n_racks
-        if slot == len(self.rack_power):
+        if slot == len(self.rack_q):
             cap = 2 * slot
-            for attr in ("rack_power", "rack_updates", "rack_active",
-                         "rack_recompute", "rack_lo", "rack_hi"):
+            for attr in ("rack_q", "rack_active"):
                 old = getattr(self, attr)
                 new = np.zeros(cap, dtype=old.dtype)
                 new[:slot] = old
                 setattr(self, attr, new)
-        self.rack_recompute[slot] = int(recompute_every)
-        self.rack_lo[slot] = lo
-        self.rack_hi[slot] = hi
         self.rack_slot[lo:hi] = slot
         self.rack_aggs.append(agg)
         self.n_racks = slot + 1
-        self._rack_grid = None
         return slot
 
     # ------------------------------------------------------------------
@@ -518,153 +503,30 @@ class VectorFleet:
         p, t = self._table_index(p, t)
         return self.cap_frac[p, t]
 
-    def _rack_width(self) -> int:
-        """Common rack width ``w`` when rack ``k`` holds rows
-        ``[k·w, (k+1)·w)`` (the last rack may be shorter), else 0.
-
-        The spec's racks always tile this way; it is what lets a
-        contiguous run of rows fold into its racks by reshaping.
-        """
-        w = self._rack_grid
-        if w is None:
-            r = self.n_racks
-            lo = self.rack_lo[:r]
-            hi = self.rack_hi[:r]
-            w = int(hi[0] - lo[0]) if r else 0
-            k = np.arange(r)
-            if not (r and (lo == k * w).all()
-                    and (hi[:-1] == lo[1:]).all() and hi[-1] - lo[-1] <= w):
-                w = 0
-            self._rack_grid = w
-        return w
-
-    def _fold_power(self, rows: np.ndarray, oldp: np.ndarray,
+    def _fold_power(self, rows, oldp: np.ndarray,
                     newp: np.ndarray) -> None:
         """Fold per-row power changes into the racks and, once attached,
         the pool — the watcher half of the scalar power funnel.
 
         Entry ``j`` says row ``rows[j]`` went from ``oldp[j]`` to
-        ``newp[j]``; entries are in the scalar funnel's order and
-        unchanged entries notify nobody, as ``_record_power`` skips
-        them.  ``rows`` is strictly ascending, or non-increasing (the
-        stop kernel's victim order, a row repeated per delta).  The
-        scalar funnel interleaves (rack, pool) per delta, but the two
-        accumulators are disjoint, so racks-then-pool reproduces both
-        delta subsequences exactly.
+        ``newp[j]``; ``rows`` is a slice or an index array in any order
+        (a run, a scattered ascending set, the stop kernel's descending
+        victims).  The change in quanta is summed over each stretch of
+        one rack's rows with ``np.add.reduceat`` and over the batch for
+        the pool: integer sums, so the ledgers land on the bits the
+        scalar funnel's one-row-at-a-time pushes reach, whatever the
+        order.
         """
-        changed = newp != oldp
-        if not changed.any():
+        dq = quanta_array(newp) - quanta_array(oldp)
+        if not dq.any():
             return
-        deltas = newp - oldp
+        slots = self.rack_slot[rows]
+        starts = np.concatenate(
+            ([0], np.flatnonzero(slots[1:] != slots[:-1]) + 1))
+        np.add.at(self.rack_q, slots[starts], np.add.reduceat(dq, starts))
         pool = self.pool_agg
-        run = run_rows(rows)
-        # A contiguous run folds whole: unchanged entries are exact
-        # ``+ 0.0`` adds and only the changed ones count as updates.
-        # (Victim order never looks like a run: it descends.)
-        if (isinstance(run, slice)
-                and self._fold_rack_run(run.start, run.stop, oldp, deltas)):
-            if pool is not None:
-                pool._fold_farm_deltas(rows, oldp, deltas)
-            return
-        if not changed.all():
-            rows = rows[changed]
-            oldp = oldp[changed]
-            deltas = deltas[changed]
-        self._fold_rack_deltas(rows, oldp, deltas)
         if pool is not None:
-            pool._fold_farm_deltas(rows, oldp, deltas)
-
-    def _fold_rack_run(self, a: int, b: int, old: np.ndarray,
-                       deltas: np.ndarray) -> bool:
-        """Fold the deltas of rows ``a..b-1`` (zeros = unchanged) into
-        their racks by padding the run to whole racks and reshaping
-        into one row per rack.  Leading and trailing ``+ 0.0`` adds are
-        exact, so each rack's row-cumsum is its scalar left fold.
-        Returns False, folding nothing, unless the racks tile the rows
-        (see :meth:`_rack_width`).
-        """
-        w = self._rack_width()
-        if not w or b > int(self.rack_hi[self.n_racks - 1]):
-            return False
-        s0 = a // w
-        s1 = (b - 1) // w + 1
-        base = s0 * w
-        pad = np.zeros((s1 - s0) * w)
-        pad[a - base:b - base] = deltas
-        grid = pad.reshape(s1 - s0, w)
-        newu = self.rack_updates[s0:s1] + np.count_nonzero(grid, axis=1)
-        trig = newu >= self.rack_recompute[s0:s1]
-        sums = np.cumsum(np.concatenate(
-            (self.rack_power[s0:s1, None], grid), axis=1), axis=1)[:, -1]
-        if not trig.any():
-            self.rack_power[s0:s1] = sums
-            self.rack_updates[s0:s1] = newu
-            return True
-        quiet = ~trig
-        self.rack_power[s0:s1][quiet] = sums[quiet]
-        self.rack_updates[s0:s1][quiet] = newu[quiet]
-        for g in np.flatnonzero(trig).tolist():
-            lo = max(a, base + g * w)
-            hi = min(b, base + (g + 1) * w)
-            d = deltas[lo - a:hi - a]
-            keep = d != 0.0
-            self._replay_rack_trigger(s0 + g,
-                                      np.arange(lo, hi)[keep],
-                                      old[lo - a:hi - a][keep], d[keep])
-        return True
-
-    def _fold_rack_deltas(self, fidx: np.ndarray, old: np.ndarray,
-                          deltas: np.ndarray) -> None:
-        """Fold changed-row deltas into the rack running sums.
-
-        Each rack's entries form one contiguous stretch of ``fidx``
-        (ascending or victim order).  Racks whose update counter stays
-        below the recompute threshold are folded with a zero-padded
-        row-cumsum (trailing ``+ 0.0`` adds are exact); racks that
-        cross it replay the scalar trigger sequence against a snapshot
-        of their row range, reproducing the drift guard's exact re-sum
-        at the exact same update count.
-        """
-        slots = self.rack_slot[fidx]
-        m = slots.size
-        starts = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])
-        counts = np.diff(np.r_[starts, m])
-        gslots = slots[starts]
-        newu = self.rack_updates[gslots] + counts
-        trig = newu >= self.rack_recompute[gslots]
-        quiet = ~trig
-        if quiet.any():
-            rows = np.flatnonzero(quiet)
-            width = int(counts[rows].max())
-            mat = np.zeros((rows.size, width + 1))
-            mat[:, 0] = self.rack_power[gslots[rows]]
-            grp = np.repeat(np.arange(gslots.size), counts)
-            col = np.arange(m) - np.repeat(starts, counts) + 1
-            keep = quiet[grp]
-            rowmap = np.cumsum(quiet) - 1
-            mat[rowmap[grp[keep]], col[keep]] = deltas[keep]
-            self.rack_power[gslots[rows]] = np.cumsum(mat, axis=1)[:, -1]
-            self.rack_updates[gslots[rows]] = newu[rows]
-        if trig.any():
-            for g in np.flatnonzero(trig).tolist():
-                slot = int(gslots[g])
-                s, c = int(starts[g]), int(counts[g])
-                self._replay_rack_trigger(slot, fidx[s:s + c],
-                                          old[s:s + c], deltas[s:s + c])
-
-    def _replay_rack_trigger(self, slot: int, gidx: np.ndarray,
-                             gold: np.ndarray, gd: np.ndarray) -> None:
-        """Fold a rack's deltas across its drift guard: the re-sum at
-        the batch's last trigger (earlier ones are discarded by the
-        later re-sum), then the deltas after it."""
-        lo, hi = int(self.rack_lo[slot]), int(self.rack_hi[slot])
-        pos = _last_trigger(int(self.rack_updates[slot]),
-                            int(self.rack_recompute[slot]), gd.size)
-        snap = self.power[lo:hi].copy()
-        _restore_before(snap, gidx[pos + 1:] - lo, gold[pos + 1:])
-        self.rack_power[slot] = float(np.cumsum(
-            np.concatenate((snap, gd[pos + 1:])))[-1])
-        self.rack_updates[slot] = gd.size - 1 - pos
+            pool._q += int(dq.sum())
 
     # ------------------------------------------------------------------
     # Read-only fleet scans
@@ -744,8 +606,8 @@ class VectorFleet:
         (the controllers pass the lowest SLEEPING rows, then the lowest
         OFF rows).  Replays exactly what ``power_on()`` on each OFF row
         and ``wake()`` on each SLEEPING row, in that order, would do —
-        the state-log entries, EnergyMeter flushes, rack and pool delta
-        folds (drift guard included) and the stale-timer guard — with
+        the state-log entries, EnergyMeter flushes, rack and pool
+        ledger folds and the stale-timer guard — with
         the per-row work in column operations and one completion timer
         per run and delay instead of one process per server.  Each
         server's ``_transition`` is its timer, so ``power_on()`` or
@@ -782,10 +644,12 @@ class VectorFleet:
         ``rows`` is the victim order, strictly descending: the
         controllers take the highest ACTIVE rows, back to front.
         Replays ``set_offered_load(0.0)`` then ``sleep()`` (or
-        ``shut_down()``) per row in that order — two power deltas per
-        server, folded into the rack and pool at the scalar update
-        counts.  Rows that are not this fleet's, racked and ACTIVE, or
-        not descending, raise ``ValueError`` before anything changes.
+        ``shut_down()``) per row in that order.  The drained power is
+        held for zero seconds, so neither the meters nor the integer
+        ledger (which needs only each row's net change) can tell it
+        was there, and it is never evaluated.  Rows that are not this
+        fleet's, racked and ACTIVE, or not descending, raise
+        ``ValueError`` before anything changes.
         """
         rows = self._check_rows(rows, "stop_many")
         if (np.diff(rows) >= 0).any():
@@ -795,18 +659,7 @@ class VectorFleet:
         final = C_SLEEPING if to_sleep else C_OFF
         now = self.env.now
         oldp = self._flush(rows, now)
-        # The drain: a loaded row re-evaluates its power at zero load
-        # (an unloaded one only flushes its meter, done above).
-        mid = oldp.copy()
-        busy = self.offered[rows] != 0.0
-        if busy.any():
-            brows = rows[busy]
-            self.offered[brows] = 0.0
-            p = self.pstate[brows]
-            t = self.tstate[brows]
-            eff = self.capacity[brows] * self._cap_fractions(p, t)
-            mid[busy] = self._active_power(brows, np.zeros(brows.size),
-                                           eff, p, t)
+        self.offered[rows] = 0.0
         entry = (now, _STATES[final])
         for s in self.gather(rows):
             s.state_log.append(entry)
@@ -815,10 +668,7 @@ class VectorFleet:
         self.eff_cap[rows] = 0.0
         newp = (self.sleep_w if to_sleep else self.off_w)[rows]
         self.power[rows] = newp
-        # Per victim: the drain delta, then the stop delta.
-        self._fold_power(np.repeat(rows, 2),
-                         np.column_stack((oldp, mid)).ravel(),
-                         np.column_stack((mid, newp)).ravel())
+        self._fold_power(rows, oldp, newp)
 
     def _check_rows(self, rows, what: str) -> np.ndarray:
         rows = np.array(rows, dtype=np.int64, ndmin=1)

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.cluster.server import Server, ServerState
+from repro.cluster.server import Server, ServerState, quanta
 from repro.control.farm import ServerFarm
 from repro.controlplane import (
     ActuationBus,
@@ -429,7 +429,7 @@ def test_reconcile_calls_fleet_verify():
         streams=RandomStreams(4))
     plane.attach(farm=farm)
     # Corrupt the cached aggregate; reconcile must self-heal it.
-    farm.fleet._power_w += 123.0
+    farm.fleet._q += quanta(123.0)
     plane.reconcile()
     assert plane.aggregate_power_drift_w == pytest.approx(123.0)
     fresh = sum(s._power_w for s in servers)
@@ -450,7 +450,7 @@ def test_fleet_verify_repairs_all_cached_aggregates():
     env.run(until=200.0)
     _ = agg.active_servers()
     # Corrupt every cache the hard way.
-    agg._power_w += 7.5
+    agg._q += quanta(7.5)
     agg._active_count = 99
     agg._active_cache = list(servers)
     repair = agg.verify()

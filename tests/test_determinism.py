@@ -5,15 +5,22 @@ Two guarantees the optimization work must never erode:
 * the co-simulation is a pure function of (spec, demand, seed) — the
   FIG-4 managed/static pair re-run with the same seed reproduces every
   result field exactly;
-* the incremental fleet power sum tracks an exact re-summation to well
-  inside the drift-guard tolerance, whatever the recompute cadence.
+* the incremental fleet power ledger (integer quanta) equals an exact
+  recount, whatever order its changes were folded in.
 """
 
 import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.cluster import Server
+from repro.cluster.aggregates import make_pool_aggregate
 from repro.control import DelayBasedOnOff, ServerFarm, UtilizationDVFS
 from repro.datacenter import CoSimulation, DataCenterSpec
+from repro.fleet import VectorFleet, VectorServer
 from repro.sim import Environment, RandomStreams
 from repro.workload import DiurnalProfile
 
@@ -46,19 +53,25 @@ def test_cosim_pair_reruns_bit_identically():
         assert a.sla.served_fraction == b.sla.served_fraction
 
 
-def _run_farm(recompute_every=None, hours=8.0):
-    """A farm with DVFS + On/Off churn (plenty of power deltas)."""
+def _run_farm(hours=8.0, vector=False):
+    """A farm with DVFS + On/Off churn (plenty of power deltas), on
+    plain servers or on a vector plant of four racks."""
     env = Environment()
-    servers = [Server(env, f"s{i}", capacity=100.0, boot_s=60.0)
-               for i in range(20)]
+    if vector:
+        fleet = VectorFleet(env, 20)
+        servers = [VectorServer(fleet, env, f"s{i}", capacity=100.0,
+                                boot_s=60.0) for i in range(20)]
+        for lo in range(0, 20, 5):
+            make_pool_aggregate(servers[lo:lo + 5], kind="rack")
+    else:
+        servers = [Server(env, f"s{i}", capacity=100.0, boot_s=60.0)
+                   for i in range(20)]
     for server in servers[:12]:
         server.power_on()
     env.run(until=61.0)
     farm = ServerFarm(env, servers,
                       demand_fn=lambda t: 700.0
                       + 300.0 * math.sin(t / 1800.0))
-    if recompute_every is not None:
-        farm.fleet.recompute_every = recompute_every
     env.process(farm.run())
     env.process(UtilizationDVFS(farm, period_s=60.0, low=0.6,
                                 high=0.9).run())
@@ -69,26 +82,69 @@ def _run_farm(recompute_every=None, hours=8.0):
     return farm
 
 
-def test_incremental_energy_matches_forced_recompute():
-    """Energy with the default drift-guard cadence agrees with a run
-    that re-sums exactly after every single delta."""
-    default = _run_farm()
-    exact = _run_farm(recompute_every=1)
-    e_default = default.energy_j(100.0, None)
-    e_exact = exact.energy_j(100.0, None)
-    assert e_exact > 0
-    assert abs(e_default - e_exact) <= 1e-6 * e_exact
+def _active_plant(n=14, width=4):
+    """A vector plant, every server ACTIVE, in racks of ``width`` (the
+    last one shorter) under one pool."""
+    env = Environment()
+    fleet = VectorFleet(env, n)
+    servers = [VectorServer(fleet, env, f"s{i}") for i in range(n)]
+    for lo in range(0, n, width):
+        fleet.make_aggregate(servers[lo:lo + width], kind="rack")
+    pool = fleet.make_aggregate(servers, kind="pool")
+    fleet.start_many(np.arange(n))
+    env.run(until=121.0)
+    return fleet, servers, pool
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_incremental_energy_matches_forced_recompute(seed):
+    """The incremental ledger equals a forced recount in any fold order.
+
+    The same per-row power changes go through the scalar funnel (one
+    ``set_offered_load`` at a time) and through the batch fold, in
+    ascending, shuffled and victim (descending) order.  Every run ends
+    on identical rack and pool ledgers, and a recount finds no drift.
+    """
+    rng = np.random.default_rng(seed)
+    n = 14
+    rows = np.flatnonzero(rng.random(n) < 0.7)
+    # Loads past a row's capacity saturate it: some changes are zero.
+    loads = rng.random(rows.size) * 150.0
+    orders = (np.arange(rows.size), rng.permutation(rows.size),
+              np.arange(rows.size)[::-1])
+    ledgers = set()
+    for order in orders:
+        fleet, servers, pool = _active_plant(n)
+        for k in order.tolist():
+            servers[rows[k]].set_offered_load(loads[k])
+        batch, _, batch_pool = _active_plant(n)
+        moved = rows[order]
+        oldp = batch.power[moved].copy()
+        newp = fleet.power[moved]
+        batch.power[moved] = newp
+        batch._fold_power(moved, oldp, newp)
+        assert batch.rack_q.tolist() == fleet.rack_q.tolist()
+        assert batch_pool._q == pool._q
+        ledgers.add((tuple(fleet.rack_q.tolist()), pool._q))
+        for aggregate in (pool, batch_pool, *fleet.rack_aggs,
+                          *batch.rack_aggs):
+            assert aggregate.recompute_exact() == 0.0
+    assert len(ledgers) == 1
 
 
 def test_aggregate_drift_stays_negligible():
-    """After hours of churn the incremental sum sits within float noise
-    of an exact re-summation."""
-    farm = _run_farm()
-    incremental = farm.fleet.power_w
-    drift = farm.fleet.recompute_exact()
-    assert drift <= 1e-6 * max(1.0, abs(incremental))
-    # recompute_exact leaves the aggregate on the exact value.
-    assert farm.fleet.power_w == sum(s.power_w() for s in farm.servers)
+    """After hours of churn the ledger still equals an exact recount,
+    on plain servers and on a vector plant's pool and racks."""
+    for vector in (False, True):
+        farm = _run_farm(vector=vector)
+        assert farm.fleet.verify()["power_drift_w"] == 0.0
+        if vector:
+            fleet = farm.servers[0]._fleet
+            for rack in fleet.rack_aggs:
+                assert rack.verify()["power_drift_w"] == 0.0
+        assert farm.fleet.power_w == pytest.approx(
+            sum(s.power_w() for s in farm.servers), rel=1e-12)
 
 
 def test_aggregate_counts_match_scan():

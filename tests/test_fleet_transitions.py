@@ -3,10 +3,10 @@
 ``VectorFleet.start_many`` / ``stop_many`` replace per-server
 ``power_on()`` / ``wake()`` / drain + ``sleep()`` / ``shut_down()``
 walks, and a contiguous active set dispatches through slices.  Each is
-pinned against a twin plant that takes the scalar path, with drift
-guards small enough (racks every 3 updates, the pool every 5) that the
-exact re-sum fires inside almost every batch.  The stale-timer guard
-is pinned on ``Server``, ``VectorServer`` and the kernel.
+pinned against a twin plant that takes the scalar path, down to the
+rack and pool power ledgers (integer quanta, equal bit for bit).  The
+stale-timer guard is pinned on ``Server``, ``VectorServer`` and the
+kernel.
 """
 
 import numpy as np
@@ -17,9 +17,6 @@ from repro.cluster.server import Server, ServerState
 from repro.fleet import VectorFleet, VectorServer
 from repro.fleet.plant import C_ACTIVE, C_OFF, C_SLEEPING, run_rows
 from repro.sim import Environment
-
-RACK_EVERY = 3
-POOL_EVERY = 5
 
 
 class Plant:
@@ -32,12 +29,11 @@ class Plant:
                         for i in range(n)]
         for lo in range(0, n, width):
             self.fleet.make_aggregate(self.servers[lo:lo + width],
-                                      RACK_EVERY, kind="rack")
+                                      kind="rack")
         self.pool = self.attach_pool() if pool else None
 
     def attach_pool(self):
-        self.pool = self.fleet.make_aggregate(self.servers, POOL_EVERY,
-                                              kind="pool")
+        self.pool = self.fleet.make_aggregate(self.servers, kind="pool")
         return self.pool
 
     def run(self, until):
@@ -68,12 +64,11 @@ def assert_twins(a: Plant, b: Plant):
                 "t_last", "pstate"):
         assert getattr(fa, col).tolist() == getattr(fb, col).tolist(), col
     r = fa.n_racks
-    for col in ("rack_power", "rack_updates", "rack_active"):
+    for col in ("rack_q", "rack_active"):
         assert (getattr(fa, col)[:r].tolist()
                 == getattr(fb, col)[:r].tolist()), col
     if a.pool is not None:
-        assert a.pool._power_w == b.pool._power_w
-        assert a.pool._updates == b.pool._updates
+        assert a.pool._q == b.pool._q
         assert a.pool._active_count == b.pool._active_count
         assert a.pool.active_servers() == [a.servers[i] for i in
                                            b.pool.active_indices()]
@@ -107,7 +102,7 @@ def test_stop_many_matches_scalar_drain_and_stop(case):
     a, b = twins_all_active(rng)
     for p in (a, b):
         p.run(200.0)
-    # Leave the pool and racks mid-way to their next re-sum.
+    # Move a few loads first, so not every row starts the batch alike.
     kick = int(rng.integers(0, 4))
     for p in (a, b):
         for s in p.servers[:kick]:
@@ -118,8 +113,8 @@ def test_stop_many_matches_scalar_drain_and_stop(case):
     assert victims.tolist() == list(range(23, 23 - count, -1))
     b.stop_scalar(victims.tolist(), to_sleep)
     assert_twins(a, b)
-    # The sums stay exact: a cold re-sum finds no drift.
-    assert a.pool.recompute_exact() == b.pool.recompute_exact()
+    # The ledgers stay exact: a cold recount finds no drift.
+    assert a.pool.recompute_exact() == b.pool.recompute_exact() == 0.0
 
 
 def test_stop_tail_keeps_one_server():
@@ -263,7 +258,6 @@ def test_dispatch_matches_scalar_on_runs_and_scattered_sets(scattered):
 def test_run_fold_handles_a_short_last_rack():
     rng = np.random.default_rng(12)
     a, b = twins_all_active(rng, n=22, width=4)   # last rack: 2 rows
-    assert a.fleet._rack_width() == 4
     for total in (700.0, 1_900.0, 300.0):
         a.pool.fused_dispatch(EvenSplit(), total)
         dispatch_scalar(b, EvenSplit(), total)
@@ -328,8 +322,9 @@ def test_stale_timer_does_not_finish_a_newer_boot_kernel():
 
 
 def test_run_fold_skips_rows_whose_power_held():
-    """Saturated rows keep their power when their load moves: zero
-    deltas inside a run fold as ``+ 0.0`` and do not count as updates."""
+    """Saturated rows keep their power when their load moves: their
+    zero changes inside a run leave the ledgers as the scalar funnel,
+    which pushes nothing for them, leaves them."""
     a, b = twins_all_active(np.random.default_rng(13))
     eff = a.fleet.eff_cap
     low, high = float(eff.min()), float(eff.max())
@@ -347,3 +342,36 @@ def test_run_fold_skips_rows_whose_power_held():
         elif k == 3:
             assert held.all()
         assert_twins(a, b)
+
+
+# ----------------------------------------------------------------------
+# Re-commanding the current P-state changes nothing
+# ----------------------------------------------------------------------
+def test_recommanding_the_current_pstate_is_a_no_op():
+    plant = Plant(n=8, width=4)
+    fleet, pool = plant.fleet, plant.pool
+    fleet.start_many(np.arange(8))
+    plant.run(121.0)
+    pool.batch_set_pstate(1)
+    plant.run(200.0)
+    frozen = (fleet.mutation_epoch, fleet.energy_j.tolist(),
+              fleet.t_last.tolist())
+    pool.batch_set_pstate(1)
+    plant.servers[3].set_pstate(1)
+    assert (fleet.mutation_epoch, fleet.energy_j.tolist(),
+            fleet.t_last.tolist()) == frozen
+    with pytest.raises(ValueError):
+        plant.servers[3].set_pstate(99)     # still range-checked
+    pool.batch_set_pstate(2)
+    assert fleet.mutation_epoch > frozen[0]
+    assert fleet.pstate.tolist() == [2] * 8
+
+
+def test_batch_pstate_skips_rows_already_there_like_the_scalar_path():
+    a, b = twins_all_active(np.random.default_rng(14))  # P-states 0..2
+    for p in (a, b):
+        p.run(300.0)
+    a.pool.batch_set_pstate(1)
+    for s in b.pool.active_servers():
+        s.set_pstate(1)
+    assert_twins(a, b)

@@ -155,42 +155,42 @@ def test_energy_meter_windowed_error_names_what_works():
 # ----------------------------------------------------------------------
 def test_make_aggregate_kinds():
     env, fleet, servers = make_fleet(8)
-    rack_a = fleet.make_aggregate(servers[:4], 4096, kind="rack")
+    rack_a = fleet.make_aggregate(servers[:4], kind="rack")
     assert isinstance(rack_a, VectorRackAggregate)
     # Overlapping rack claim is refused.
     with pytest.raises(ValueError, match="overlap"):
-        fleet.make_aggregate(servers[2:6], 4096, kind="rack")
-    rack_b = fleet.make_aggregate(servers[4:], 4096, kind="rack")
+        fleet.make_aggregate(servers[2:6], kind="rack")
+    rack_b = fleet.make_aggregate(servers[4:], kind="rack")
     assert isinstance(rack_b, VectorRackAggregate)
-    pool = fleet.make_aggregate(servers, 4096, kind="pool")
+    pool = fleet.make_aggregate(servers, kind="pool")
     assert isinstance(pool, VectorAggregate)
     # Sub-pools and non-contiguous picks are refused.
     with pytest.raises(ValueError, match="whole fleet"):
-        fleet.make_aggregate(servers[:4], 4096, kind="pool")
+        fleet.make_aggregate(servers[:4], kind="pool")
     with pytest.raises(ValueError, match="contiguous"):
-        fleet.make_aggregate(servers[::2], 4096, kind="rack")
+        fleet.make_aggregate(servers[::2], kind="rack")
 
 
 def _refuse_overlapping_rack(fleet, servers):
-    fleet.make_aggregate(servers[:4], 4096, kind="rack")
-    fleet.make_aggregate(servers[3:], 4096, kind="rack")
+    fleet.make_aggregate(servers[:4], kind="rack")
+    fleet.make_aggregate(servers[3:], kind="rack")
 
 
 def _refuse_sub_pool(fleet, servers):
-    fleet.make_aggregate(servers[:4], 4096, kind="rack")
-    fleet.make_aggregate(servers[4:], 4096, kind="rack")
+    fleet.make_aggregate(servers[:4], kind="rack")
+    fleet.make_aggregate(servers[4:], kind="rack")
     make_pool_aggregate(servers[:4])
 
 
 def _refuse_second_pool(fleet, servers):
-    fleet.make_aggregate(servers[:4], 4096, kind="rack")
-    fleet.make_aggregate(servers[4:], 4096, kind="rack")
+    fleet.make_aggregate(servers[:4], kind="rack")
+    fleet.make_aggregate(servers[4:], kind="rack")
     make_pool_aggregate(servers)
     make_pool_aggregate(servers)
 
 
 def _refuse_pool_before_racks(fleet, servers):
-    fleet.make_aggregate(servers[:4], 4096, kind="rack")
+    fleet.make_aggregate(servers[:4], kind="rack")
     make_pool_aggregate(servers)
 
 
@@ -218,9 +218,9 @@ def test_vector_aggregate_tracks_scalar_invariants():
     env, fleet, servers = make_fleet(6)
     for s in servers[:4]:
         s._fleet  # views
-    racks = [fleet.make_aggregate(servers[:3], 4096, kind="rack"),
-             fleet.make_aggregate(servers[3:], 4096, kind="rack")]
-    pool = fleet.make_aggregate(servers, 4096, kind="pool")
+    racks = [fleet.make_aggregate(servers[:3], kind="rack"),
+             fleet.make_aggregate(servers[3:], kind="rack")]
+    pool = fleet.make_aggregate(servers, kind="pool")
     for s in servers[:4]:
         s.power_on()
     env.run(until=121.0)
@@ -244,9 +244,9 @@ def test_vector_aggregate_tracks_scalar_invariants():
 def build_wired_pool(n=6):
     env, fleet, servers = make_fleet(n)
     half = n // 2
-    fleet.make_aggregate(servers[:half], 4096, kind="rack")
-    fleet.make_aggregate(servers[half:], 4096, kind="rack")
-    pool = fleet.make_aggregate(servers, 4096, kind="pool")
+    fleet.make_aggregate(servers[:half], kind="rack")
+    fleet.make_aggregate(servers[half:], kind="rack")
+    pool = fleet.make_aggregate(servers, kind="pool")
     return env, fleet, servers, pool
 
 
@@ -276,7 +276,7 @@ def test_foreign_watcher_raises():
     with pytest.raises(TypeError):
         servers[0].add_watcher(_Mute())
     # After the rack, before the pool: only the pool may come second.
-    fleet.make_aggregate(servers, 4096, kind="rack")
+    fleet.make_aggregate(servers, kind="rack")
     with pytest.raises(TypeError):
         servers[0].add_watcher(_Mute())
     # A plain aggregate or a request farm over vector servers.
@@ -291,7 +291,7 @@ def test_start_many_refuses_bad_batches():
     env, fleet, servers = make_fleet(4)
     with pytest.raises(ValueError):
         fleet.start_many([0, 1])                # no rack yet
-    fleet.make_aggregate(servers, 4096, kind="rack")
+    fleet.make_aggregate(servers, kind="rack")
     with pytest.raises(ValueError):
         fleet.start_many([])
     with pytest.raises(ValueError):
@@ -321,9 +321,9 @@ def test_nonlinear_model_batches_bit_exactly():
     servers = [VectorServer(fleet, env, f"v{i}", power_model=model)
                for i in range(4)]
     assert fleet.nonlinearity == 1.4
-    fleet.make_aggregate(servers[:2], 4096, kind="rack")
-    fleet.make_aggregate(servers[2:], 4096, kind="rack")
-    pool = fleet.make_aggregate(servers, 4096, kind="pool")
+    fleet.make_aggregate(servers[:2], kind="rack")
+    fleet.make_aggregate(servers[2:], kind="rack")
+    pool = fleet.make_aggregate(servers, kind="pool")
     assert pool.batcher() is pool
     env2 = Environment()
     twins = [Server(env2, f"t{i}", power_model=ServerPowerModel(
@@ -377,6 +377,22 @@ def test_equal_table_contents_share_a_group():
     # far as the batch kernels can tell, so the fleet accepts it.
     assert fleet.n_claimed == 2
     assert fleet.nonlinearity == 1.0
+
+
+def test_fleet_refuses_a_model_that_overflows_the_ledger():
+    """Rack and pool power are int64 sums of 2**-32 W quanta: rows ×
+    the model's largest draw must stay under 2**31 W."""
+    env = Environment()
+    huge = ServerPowerModel(peak_w=3e9)
+    with pytest.raises(ValueError, match="int64 power ledger"):
+        VectorServer(VectorFleet(env, 1), env, "v0", power_model=huge)
+    with pytest.raises(ValueError, match="int64 power ledger"):
+        VectorFleet(env, 1).build_servers(env, ["v0"], huge)
+    with pytest.raises(ValueError, match="int64 power ledger"):
+        VectorServer(VectorFleet(env, 1), env, "v0",
+                     power_model=ServerPowerModel(boot_w=3e9))
+    VectorServer(VectorFleet(env, 1), env, "v0",
+                 power_model=ServerPowerModel(peak_w=2e9))
 
 
 # ----------------------------------------------------------------------
