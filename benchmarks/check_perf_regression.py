@@ -20,6 +20,11 @@ Non-PERF rows (experiment artifacts) are ignored: their wall times are
 incidental, and their *metrics* are guarded by the benchmarks' own
 assertions.
 
+Both files' hosts are printed first (the ``host`` record each PERF row
+carries: CPU count, machine, Python and numpy versions).  When they
+differ, or the baseline recorded none, the failure summary says so: a
+ratio between two hosts measures the hosts as well as the code.
+
 Exit codes: ``0`` all gated rows within threshold, ``1`` at least one
 row regressed, ``2`` a baseline row is missing from the current
 results (the run silently dropped a benchmark — a distinct failure
@@ -54,6 +59,24 @@ def load_rows(path: pathlib.Path) -> dict[str, float]:
                 and row.get("mean_s") is not None:
             rows[row["name"]] = float(row["mean_s"])
     return rows
+
+
+def describe_host(path: pathlib.Path) -> str:
+    """The host record(s) of a results file's PERF rows, as one line.
+
+    Rows are merged into the file by name, so one file can hold rows
+    from several hosts; each distinct record is listed once.
+    """
+    hosts = []
+    for row in json.loads(path.read_text()):
+        host = row.get("host")
+        if row.get("name", "").startswith("PERF") and host:
+            text = (f"{host.get('cpu_count')} CPUs {host.get('machine')}, "
+                    f"Python {host.get('python')}, "
+                    f"numpy {host.get('numpy')}")
+            if text not in hosts:
+                hosts.append(text)
+    return "; ".join(hosts) if hosts else "unrecorded"
 
 
 def load_thresholds(
@@ -125,6 +148,11 @@ def main(argv: list[str] | None = None) -> int:
         baseline = {n: v for n, v in baseline.items()
                     if n not in set(args.skip_rows)}
 
+    base_host = describe_host(args.baseline)
+    current_host = describe_host(args.current)
+    print(f"baseline host: {base_host}")
+    print(f"current host:  {current_host}")
+
     failures = []
     missing = []
     for name in sorted(baseline):
@@ -148,6 +176,10 @@ def main(argv: list[str] | None = None) -> int:
     if failures:
         print(f"\n{len(failures)} PERF row(s) regressed beyond "
               f"their gate: {', '.join(failures)}")
+        if base_host == "unrecorded" or base_host != current_host:
+            print(f"note: the baseline host ({base_host}) is not "
+                  f"known to be the current host ({current_host}); "
+                  f"these ratios compare hosts as well as code")
         return EXIT_REGRESSED
     if missing and not args.allow_missing:
         print(f"\n{len(missing)} baseline PERF row(s) missing from "

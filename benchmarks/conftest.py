@@ -15,6 +15,9 @@ In addition, every recorded benchmark appends one machine-readable row
 to ``BENCH_PERF.json`` (in the repository root, or ``$BENCH_PERF_PATH``)
 with the benchmark name, its headline metrics, and the mean wall time —
 CI uploads the file as an artifact so perf history survives the run.
+``PERF:`` timing rows also carry a ``host`` record (CPU count, machine,
+Python and numpy versions), because a wall time means little without
+the host it was taken on.
 
 With ``$GOLDEN_TABLES_PATH`` set, the session also writes every
 *deterministic* result block (title + table rows; PERF timing rows are
@@ -29,6 +32,9 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import platform
+
+import numpy as np
 
 _PERF_PATH = pathlib.Path(
     os.environ.get("BENCH_PERF_PATH",
@@ -68,6 +74,14 @@ def _mean_seconds(benchmark) -> float | None:
         return None
 
 
+def host_record() -> dict:
+    """The facts about this host that a wall time depends on."""
+    return {"cpu_count": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__}
+
+
 def pytest_sessionstart(session):
     _SESSION_ROWS.clear()
 
@@ -98,9 +112,13 @@ def pytest_sessionfinish(session, exitstatus):
                 existing[row["name"]] = row
         except (ValueError, KeyError, TypeError):
             existing = {}
+    host = host_record()
     for title, metrics, _, benchmark in _SESSION_ROWS:
-        existing[title] = {"name": title, "metrics": metrics,
-                           "mean_s": _mean_seconds(benchmark)}
+        row = {"name": title, "metrics": metrics,
+               "mean_s": _mean_seconds(benchmark)}
+        if title.startswith("PERF"):
+            row["host"] = host
+        existing[title] = row
     _PERF_PATH.write_text(
         json.dumps(list(existing.values()), indent=2) + "\n")
     golden = os.environ.get("GOLDEN_TABLES_PATH")

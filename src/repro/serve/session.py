@@ -24,8 +24,6 @@ import heapq
 import math
 import typing
 
-import numpy as np
-
 from repro.controlplane import ControlPlaneProfile
 from repro.core.faults import FaultKind, FaultSchedule, Incident
 from repro.core.forecast import (
@@ -295,28 +293,13 @@ class SimSession:
     # ------------------------------------------------------------------
     # Pure reads
     # ------------------------------------------------------------------
-    @staticmethod
-    def _step_integral(monitor, start: float, end: float) -> float:
-        """Cache-free ∫ value dt over ``[start, end]``.
-
-        Same step-function semantics as :meth:`Monitor.integral`, but
-        computed from the raw sample views without touching the
-        monitor's shared cumsum cache: extending that cache
-        incrementally (per telemetry tick) rounds differently from one
-        bulk extension at summarize time, which would make a *watched*
-        run drift in the last float digits — the one observer effect
-        the bit-identity contract cannot tolerate.
-        """
-        times, values = monitor.times, monitor.values
-        if len(times) == 0 or end <= times[0]:
-            return 0.0
-        lo = np.clip(times, start, end)
-        hi = np.clip(np.append(times[1:], end), start, end)
-        return float(np.dot(values, np.maximum(hi - lo, 0.0)))
-
     def telemetry(self, streams: typing.Iterable[str] = ()) -> dict:
-        """One frame of pure reads; no RNG draws, no event scheduling,
-        no shared-cache mutation."""
+        """One frame of pure reads; no RNG draws, no event scheduling.
+
+        Integrals go through :meth:`Monitor.integral`, whose cache
+        extension continues one exact left fold, so a watched session
+        keeps the bits of an unwatched one.
+        """
         sim = self.sim
         now = sim.env.now
         wanted = set(streams) or set(protocol.TELEMETRY_STREAMS)
@@ -329,18 +312,14 @@ class SimSession:
             }
         if "pue" in wanted:
             pue = sim.dc.pue
-            it_j = self._step_integral(pue.it_monitor, self.start_s, now)
-            loss_j = self._step_integral(pue.loss_monitor,
-                                         self.start_s, now)
-            mech_j = self._step_integral(pue.mechanical_monitor,
-                                         self.start_s, now)
+            it_j = pue.it_monitor.integral(self.start_s, now)
+            loss_j = pue.loss_monitor.integral(self.start_s, now)
+            mech_j = pue.mechanical_monitor.integral(self.start_s, now)
             data["pue"] = ((it_j + loss_j + mech_j) / it_j
                            if it_j > 0 else math.inf)
         if "served" in wanted:
-            offered = self._step_integral(sim.farm.offered_monitor,
-                                          self.start_s, now)
-            shed = self._step_integral(sim.farm.shed_monitor,
-                                       self.start_s, now)
+            offered = sim.farm.offered_monitor.integral(self.start_s, now)
+            shed = sim.farm.shed_monitor.integral(self.start_s, now)
             data["served"] = (1.0 - shed / offered) if offered > 0 else 1.0
         if "health" in wanted:
             status = sim.fault_engine.status()
@@ -349,7 +328,7 @@ class SimSession:
                 "active_incidents": len(status.active_incidents),
                 "failed_servers": int(status.failed_servers),
                 "on_battery": bool(status.on_battery),
-                "active_servers": len(sim.farm.active_servers()),
+                "active_servers": sim.farm.fleet.active_count,
             }
         return data
 

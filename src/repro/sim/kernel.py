@@ -58,12 +58,11 @@ class Environment:
         self._eidn = 0
         self._active_process: Process | None = None
         #: Optional :class:`~repro.obs.Tracer` (the flight recorder).
-        #: ``None`` — the default — keeps :meth:`run` on the exact
-        #: uninstrumented hot loops; an attached tracer redirects to
-        #: :meth:`_run_traced`, which keeps the same fast path but
-        #: counts the kernel's event mix as it goes.
+        #: :meth:`run` has one loop for both cases; an attached tracer
+        #: only wraps it in a span and a wall timer and receives the
+        #: event-mix counts the loop keeps anyway.
         self.tracer = None
-        #: Recycled Timeout objects (see the run() loops).  A consumed
+        #: Recycled Timeout objects (see run()).  A consumed
         #: timeout that provably has no outside references goes here
         #: instead of the garbage collector, and :meth:`timeout` reuses
         #: it — object allocation is a measurable share of a fleet
@@ -247,66 +246,65 @@ class Environment:
         * ``until`` is an :class:`Event`: run until it is processed and
           return its value.
 
-        The drain and run-to-horizon loops inline both :meth:`step` and
-        the resumption of a process waiting on a pure :class:`Timeout`
-        (the overwhelmingly common wakeup): one generator ``send`` per
-        event with no intermediate Python frames.  At fleet scale the
-        kernel spends its life here.
-        """
-        if self.tracer is not None:
-            return self._run_traced(until)
-        q = self._queue
-        pop_before = q.pop_before
-        free = self._free
-        getrefcount = sys.getrefcount
+        All three forms share one loop.  It inlines both :meth:`step`
+        and the resumption of a process waiting on a pure
+        :class:`Timeout` (the overwhelmingly common wakeup): one
+        generator ``send`` per event with no intermediate Python
+        frames.  At fleet scale the kernel spends its life here.
 
+        With a tracer attached, the same loop runs inside a
+        ``kernel.run`` span and the ``kernel`` wall timer and hands the
+        tracer the event-mix counts it keeps anyway; an invalid
+        ``until`` raises before the span opens.
+        """
+        horizon = _INF
+        sentinel = None
         if isinstance(until, Event):
             sentinel = until
             if sentinel.processed:
                 if not sentinel.ok:
                     raise sentinel.value
                 return sentinel.value
-            fired: list[Event] = []
-            _subscribe_callback(sentinel, fired.append)
-            while not fired:
-                entry = pop_before(_INF)
-                if entry is None:
-                    break
-                self._now = entry[0]
-                self._dispatch(entry[2])
-            if not fired:
-                raise RuntimeError(
-                    "simulation ended before the awaited event fired")
-            if not sentinel.ok:
-                raise sentinel.value
-            return sentinel.value
-
-        if until is None:
-            horizon = _INF
-        else:
+        elif until is not None:
             horizon = float(until)
             if horizon < self._now:
                 raise ValueError(
                     f"until={horizon} lies in the past (now={self._now})")
+        tracer = self.tracer
+        if tracer is not None:
+            timer = tracer.timer("kernel")
+            timer.__enter__()
+            handle = tracer.span("kernel.run", "kernel")
+        # The sentinel's callbacks are materialized, so it fires in a
+        # generic dispatch; the loop stops right after that one.
+        fired: list[Event] = []
+        if sentinel is not None:
+            _subscribe_callback(sentinel, fired.append)
+        q = self._queue
         take_before = q.take_before
-        while True:
-            batch = take_before(horizon)
-            if batch is None:
-                break
-            # The batch is descending; batch.pop() consumes it in
-            # dispatch order.  A push landing inside the batch's time
-            # window sets q.intr; the remainder goes back for a
-            # re-sort only when the push can actually precede a batch
-            # entry (strictly smaller time than the batch maximum —
-            # fresh eids always order after pending ones at equal
-            # times).  See CalendarQueue.take_before.
-            try:
+        free = self._free
+        getrefcount = sys.getrefcount
+        n_fast = n_dispatch = n_completed = n_failed = 0
+        batch = None
+        try:
+            while True:
+                batch = take_before(horizon)
+                if batch is None:
+                    break
+                # The batch is descending; batch.pop() consumes it in
+                # dispatch order.  A push landing inside the batch's time
+                # window sets q.intr; the remainder goes back for a
+                # re-sort only when the push can actually precede a batch
+                # entry (strictly smaller time than the batch maximum —
+                # fresh eids always order after pending ones at equal
+                # times).  See CalendarQueue.take_before.
                 while batch:
                     if q.intr:
                         q.intr = False
                         if q.intr_t < batch[0][0]:
                             q.intr_t = _INF
                             q.requeue(batch)
+                            batch = None
                             break
                         q.intr_t = _INF
                     entry = batch.pop()
@@ -325,6 +323,7 @@ class Environment:
                             # here — no _dispatch or _resume frame — and
                             # re-subscribe it if it yields another fresh
                             # timeout (it almost always does).
+                            n_fast += 1
                             event.callbacks = None
                             self._active_process = proc
                             try:
@@ -333,12 +332,14 @@ class Environment:
                                 self._active_process = None
                                 proc._target = None
                                 proc.succeed(stop.value)
+                                n_completed += 1
                                 continue
                             except BaseException as exc:
                                 self._active_process = None
                                 proc._target = None
                                 proc.fail(exc)
                                 self._on_process_failure(proc, exc)
+                                n_failed += 1
                                 continue
                             self._active_process = None
                             if type(result) is Timeout:
@@ -369,151 +370,35 @@ class Environment:
                             proc._subscribe(result)
                             continue
                     self._dispatch(event)
-            except BaseException:
-                if batch:
-                    q.requeue(batch)
-                raise
+                    n_dispatch += 1
+                    if fired:
+                        break
+                if fired:
+                    if batch:
+                        q.requeue(batch)
+                    break
+        except BaseException:
+            if batch:
+                q.requeue(batch)
+            raise
+        finally:
+            if tracer is not None:
+                handle.__exit__(None, None, None)
+                timer.__exit__(None, None, None)
+                tracer.count("kernel.timeout_fast", n_fast)
+                tracer.count("kernel.dispatched", n_dispatch)
+                tracer.count("kernel.processes_completed", n_completed)
+                tracer.count("kernel.processes_failed", n_failed)
+        if sentinel is not None:
+            if not fired:
+                raise RuntimeError(
+                    "simulation ended before the awaited event fired")
+            if not sentinel.ok:
+                raise sentinel.value
+            return sentinel.value
         if until is not None:
             self._now = horizon
         return None
-
-    def _run_traced(self, until: float | Event | None):
-        """The :meth:`run` loops with flight-recorder accounting.
-
-        Same fast path (inlined timeout resume, free-list recycling),
-        plus local counters for the kernel's event mix folded into the
-        tracer at exit.  The extra cost is a handful of integer adds
-        per event — the traced-on overhead budget the observability
-        tests pin below 10 %.
-        """
-        tracer = self.tracer
-        q = self._queue
-        pop_before = q.pop_before
-        free = self._free
-        getrefcount = sys.getrefcount
-        n_fast = n_dispatch = n_completed = n_failed = 0
-
-        if isinstance(until, Event):
-            # Rare sentinel form: generic dispatch, still counted.
-            sentinel = until
-            handle = tracer.span("kernel.run", "kernel")
-            timer = tracer.timer("kernel")
-            timer.__enter__()
-            try:
-                with handle:
-                    if sentinel.processed:
-                        if not sentinel.ok:
-                            raise sentinel.value
-                        return sentinel.value
-                    fired: list[Event] = []
-                    _subscribe_callback(sentinel, fired.append)
-                    while not fired:
-                        entry = pop_before(_INF)
-                        if entry is None:
-                            break
-                        self._now = entry[0]
-                        self._dispatch(entry[2])
-                        n_dispatch += 1
-                    if not fired:
-                        raise RuntimeError("simulation ended before the "
-                                           "awaited event fired")
-                    if not sentinel.ok:
-                        raise sentinel.value
-                    return sentinel.value
-            finally:
-                timer.__exit__(None, None, None)
-                tracer.count("kernel.dispatched", n_dispatch)
-
-        if until is None:
-            horizon = _INF
-        else:
-            horizon = float(until)
-            if horizon < self._now:
-                raise ValueError(
-                    f"until={horizon} lies in the past (now={self._now})")
-        handle = tracer.span("kernel.run", "kernel")
-        timer = tracer.timer("kernel")
-        timer.__enter__()
-        try:
-            with handle:
-                take_before = q.take_before
-                while True:
-                    batch = take_before(horizon)
-                    if batch is None:
-                        break
-                    try:
-                        while batch:
-                            if q.intr:
-                                q.intr = False
-                                if q.intr_t < batch[0][0]:
-                                    q.intr_t = _INF
-                                    q.requeue(batch)
-                                    break
-                                q.intr_t = _INF
-                            entry = batch.pop()
-                            time, _key, event = entry
-                            entry = None  # see the untraced loop
-                            self._now = time
-                            if type(event) is Timeout:
-                                proc = event._waiter
-                                if proc is not None:
-                                    # Hot path — see the untraced loop.
-                                    n_fast += 1
-                                    event.callbacks = None
-                                    self._active_process = proc
-                                    try:
-                                        result = proc._send(event._value)
-                                    except StopIteration as stop:
-                                        self._active_process = None
-                                        proc._target = None
-                                        proc.succeed(stop.value)
-                                        n_completed += 1
-                                        continue
-                                    except BaseException as exc:
-                                        self._active_process = None
-                                        proc._target = None
-                                        proc.fail(exc)
-                                        self._on_process_failure(proc, exc)
-                                        n_failed += 1
-                                        continue
-                                    self._active_process = None
-                                    if type(result) is Timeout:
-                                        callbacks = result.callbacks
-                                        if callbacks is not None:
-                                            proc._target = result
-                                            if type(callbacks) is tuple:
-                                                waiter = result._waiter
-                                                if waiter is None:
-                                                    result._waiter = proc
-                                                else:
-                                                    result._waiter = None
-                                                    result.callbacks = [
-                                                        waiter._resume_cb,
-                                                        proc._resume_cb,
-                                                    ]
-                                            else:
-                                                callbacks.append(proc._resume_cb)
-                                            if getrefcount(event) == 2:
-                                                free.append(event)
-                                            continue
-                                    proc._target = None
-                                    proc._subscribe(result)
-                                    continue
-                            self._dispatch(event)
-                            n_dispatch += 1
-                    except BaseException:
-                        if batch:
-                            q.requeue(batch)
-                        raise
-                if until is not None:
-                    self._now = horizon
-                return None
-        finally:
-            timer.__exit__(None, None, None)
-            tracer.count("kernel.timeout_fast", n_fast)
-            tracer.count("kernel.dispatched", n_dispatch)
-            tracer.count("kernel.processes_completed", n_completed)
-            tracer.count("kernel.processes_failed", n_failed)
 
     def _on_process_failure(self, process: Process,
                             exc: BaseException) -> None:

@@ -19,10 +19,10 @@ Invariants of the prefix array ``_cum``:
   ``times[0]`` to ``times[i]`` (so ``_cum[0] == 0``).
 * Entries ``[0, _cum_valid)`` are up to date; later entries are
   extended lazily (and in one vectorized ``cumsum``) on first query.
-  Staged extension re-associates the sum (``c[m-1] + cumsum(...)``
-  versus one long fold), so two different query schedules can differ
-  in the last few ulps — but any *fixed* program queries at fixed
-  points, so results are exactly reproducible run to run.
+  An extension continues the same left fold from the last valid
+  entry, so the array holds the same bits however often, and at
+  whichever points, the monitor was queried: a reader cannot change
+  a later result.
 * A same-instant re-record only rewrites ``values[-1]``, which only
   affects the still-open last segment — never any completed ``_cum``
   entry — so overwrites need no invalidation.
@@ -144,8 +144,12 @@ class Monitor:
         if m == 0:
             c[0] = 0.0
             m = 1
-        segments = v[m - 1:n - 1] * (t[m:n] - t[m - 1:n - 1])
-        c[m:n] = c[m - 1] + np.cumsum(segments)
+        if m < n:
+            # np.cumsum folds strictly left to right, so seeding it with
+            # c[m-1] gives the bits of one bulk fold over all segments.
+            segments = v[m - 1:n - 1] * (t[m:n] - t[m - 1:n - 1])
+            segments[0] += c[m - 1]
+            np.cumsum(segments, out=c[m:n])
         self._cum_valid = n
 
     def _cum_at(self, x: float) -> float:

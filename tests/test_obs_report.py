@@ -237,6 +237,67 @@ class TestCheckPerfRegression:
                             "--current", str(short),
                             "--skip-rows", "PERF: b"]) == 2
 
+    HOST_A = {"cpu_count": 2, "machine": "x86_64", "python": "3.11.7",
+              "numpy": "2.4.6"}
+    HOST_B = {"cpu_count": 16, "machine": "x86_64", "python": "3.12.1",
+              "numpy": "2.4.6"}
+
+    def hosted(self, host, **names):
+        return [dict(row, host=host) for row in self.rows(**names)]
+
+    def test_prints_both_hosts_and_names_a_host_change(self, tmp_path,
+                                                       capsys):
+        script = load_script("check_perf_regression")
+        base = self.write(tmp_path / "base.json",
+                          self.hosted(self.HOST_B, **{"PERF: a": 1.0}))
+        cur = self.write(tmp_path / "cur.json",
+                         self.hosted(self.HOST_A, **{"PERF: a": 2.0}))
+        assert script.main(["--baseline", str(base),
+                            "--current", str(cur)]) == 1
+        out = capsys.readouterr().out
+        assert "baseline host: 16 CPUs x86_64, Python 3.12.1" in out
+        assert "current host:  2 CPUs x86_64, Python 3.11.7" in out
+        assert "compare hosts as well as code" in out
+
+    def test_same_host_failure_does_not_blame_the_host(self, tmp_path,
+                                                       capsys):
+        script = load_script("check_perf_regression")
+        base = self.write(tmp_path / "base.json",
+                          self.hosted(self.HOST_A, **{"PERF: a": 1.0}))
+        cur = self.write(tmp_path / "cur.json",
+                         self.hosted(self.HOST_A, **{"PERF: a": 2.0}))
+        assert script.main(["--baseline", str(base),
+                            "--current", str(cur)]) == 1
+        assert "compare hosts" not in capsys.readouterr().out
+
+    def test_unrecorded_baseline_host_is_named(self, tmp_path, capsys):
+        script = load_script("check_perf_regression")
+        base = self.write(tmp_path / "base.json",
+                          self.rows(**{"PERF: a": 1.0}))
+        cur = self.write(tmp_path / "cur.json",
+                         self.hosted(self.HOST_A, **{"PERF: a": 2.0}))
+        assert script.main(["--baseline", str(base),
+                            "--current", str(cur)]) == 1
+        out = capsys.readouterr().out
+        assert "baseline host: unrecorded" in out
+        assert "compare hosts as well as code" in out
+
+    def test_benchmark_session_stamps_perf_rows_with_the_host(
+            self, tmp_path, monkeypatch):
+        conftest = load_script("conftest")
+        monkeypatch.setattr(conftest, "_PERF_PATH", tmp_path / "perf.json")
+        monkeypatch.delenv("GOLDEN_TABLES_PATH", raising=False)
+        bench = type("Bench", (), {"extra_info": {}, "stats": None})()
+        conftest.record(bench, "PERF: a", [])
+        conftest.record(bench, "EXP-X: thing", ["row"])
+        conftest.pytest_sessionfinish(None, 0)
+        rows = {r["name"]: r
+                for r in json.loads((tmp_path / "perf.json").read_text())}
+        assert rows["PERF: a"]["host"] == conftest.host_record()
+        assert set(conftest.host_record()) == {"cpu_count", "machine",
+                                               "python", "numpy"}
+        assert "host" not in rows["EXP-X: thing"]
+
     def test_skip_rows_rejects_unknown_name(self, tmp_path):
         script = load_script("check_perf_regression")
         base = self.write(tmp_path / "base.json",

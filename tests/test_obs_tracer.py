@@ -121,6 +121,32 @@ class TestTracer:
         assert env.now == 5.0
         assert tracer.counters["kernel.dispatched"] >= 1
 
+    def test_kernel_counts_failed_processes_when_traced(self):
+        env, tracer = bound_tracer()
+
+        def crasher():
+            yield env.timeout(1.0)
+            raise KeyError("boom")
+
+        env.process(crasher())
+        # Nobody waits on the crashed process, so run() re-raises; the
+        # counts and the span still land on the way out.
+        with pytest.raises(KeyError):
+            env.run()
+        assert tracer.counters["kernel.processes_failed"] == 1
+        assert tracer.counters["kernel.timeout_fast"] == 1
+        assert tracer.current_span is None
+        assert len(tracer.find_spans("kernel.run")) == 1
+
+    def test_kernel_rejects_a_past_horizon_before_opening_a_span(self):
+        env, tracer = bound_tracer()
+        env.run(until=5.0)
+        with pytest.raises(ValueError):
+            env.run(until=1.0)
+        assert tracer.current_span is None
+        assert len(tracer.find_spans("kernel.run")) == 1
+        assert env.now == 5.0
+
     def test_kernel_traced_matches_untraced_schedule(self):
         def build(tracer):
             env = Environment()

@@ -21,6 +21,7 @@ from repro.serve.protocol import (
     SwapPolicy,
     result_fingerprint,
 )
+from repro.serve.loadgen import session_script
 from repro.serve.session import MutableDemand, ServeScenario, SimSession
 
 SMALL = ServeScenario(racks=2, servers_per_rack=5, zones=2, cracs=1,
@@ -207,9 +208,8 @@ def test_scripted_run_matches_tickwise_replay():
 
 
 def test_telemetry_reads_leave_no_observer_effect():
-    """Regression: per-tick Monitor.integral calls used to extend the
-    cumsum cache incrementally, rounding served_fraction differently
-    in the last digits than the unwatched golden run."""
+    """Reading every stream on every tick leaves the fingerprint of
+    the unwatched golden run."""
     golden = SimSession(SMALL).run_script(SCRIPT, ticks=90)
     watched = SimSession(SMALL)
     for msg in SCRIPT:
@@ -260,3 +260,27 @@ def test_telemetry_stream_filter():
     session.advance(1)
     assert set(session.telemetry(["pue", "served"])) == \
         {"pue", "served"}
+
+
+def test_every_tick_reads_keep_the_unread_fingerprint_under_churn():
+    """Telemetry integrals go through Monitor.integral, extending its
+    prefix cache once per tick; the session must still fingerprint
+    like an unread one.  The same frames report the live fleet count,
+    which must track the server roster through sleep/wake churn."""
+    scenario = ServeScenario(seed=23)
+    script, _ = session_script(scenario, sessions=150_000, days=0.25)
+    ticks = 360
+    golden = SimSession(scenario).run_script(script, ticks)
+    watched = SimSession(scenario)
+    for msg in script:
+        watched.submit(msg)
+    seen = set()
+    for _ in range(ticks):
+        watched.advance(1)
+        active = watched.telemetry()["health"]["active_servers"]
+        assert type(active) is int
+        assert active == len(watched.sim.farm.active_servers())
+        seen.add(active)
+    assert len(seen) > 1, "the script caused no sleep/wake churn"
+    assert result_fingerprint(watched.result()) == \
+        result_fingerprint(golden)

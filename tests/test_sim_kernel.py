@@ -304,3 +304,28 @@ def test_determinism_two_identical_runs():
         return trace
 
     assert build() == build()
+
+
+def test_event_sentinel_stops_mid_batch_and_resumes_in_order():
+    """run(until=event) stops right after the event's dispatch; the
+    events still due in the same batch wait for the next run()."""
+    def build(split):
+        env = Environment()
+        log = []
+
+        def ticker(name, period):
+            while True:
+                log.append((name, env.now))
+                yield env.timeout(period)
+
+        stop = env.timeout(3.0)
+        for name, period in (("a", 0.5), ("b", 0.75), ("c", 1.0)):
+            env.process(ticker(name, period))
+        if split:
+            env.run(until=stop)
+            assert env.now == 3.0
+            assert ("a", 3.0) not in log
+        env.run(until=10.0)
+        return log
+
+    assert build(True) == build(False)
