@@ -19,8 +19,8 @@ when it was.
 
 from conftest import record
 
-from repro.cluster import Server
 from repro.control import ForecastOnOff, ServerFarm
+from repro.fleet import VectorFleet, VectorServer
 from repro.power import ServerPowerModel
 from repro.sim import Environment
 from repro.workload import DiurnalProfile
@@ -32,10 +32,12 @@ def run_day(idle_fraction: float, provisioned: bool) -> float:
     env = Environment()
     model_args = dict(peak_w=300.0, idle_fraction=idle_fraction,
                       off_w=5.0)
-    servers = [Server(env, f"s{i}",
-                      power_model=ServerPowerModel(**model_args),
-                      capacity=100.0, boot_s=120.0, wake_s=15.0)
+    fleet = VectorFleet(env, 20)
+    servers = [VectorServer(fleet, env, f"s{i}",
+                            power_model=ServerPowerModel(**model_args),
+                            capacity=100.0, boot_s=120.0, wake_s=15.0)
                for i in range(20)]
+    fleet.make_aggregate(servers, "rack")
     for server in servers:
         server.power_on()
     env.run(until=121.0)

@@ -12,8 +12,8 @@ lead costs almost nothing in energy.
 
 from conftest import record
 
-from repro.cluster import Server
 from repro.control import ForecastOnOff, ServerFarm
+from repro.fleet import VectorFleet, VectorServer
 from repro.sim import Environment
 
 DAY = 86_400.0
@@ -22,8 +22,10 @@ BOOT_S = 300.0
 
 def run_with_horizon(horizon_s: float):
     env = Environment()
-    servers = [Server(env, f"s{i}", capacity=100.0, boot_s=BOOT_S,
-                      wake_s=15.0) for i in range(30)]
+    fleet = VectorFleet(env, 30)
+    servers = [VectorServer(fleet, env, f"s{i}", capacity=100.0,
+                            boot_s=BOOT_S, wake_s=15.0) for i in range(30)]
+    fleet.make_aggregate(servers, "rack")
     for server in servers:
         server.power_on()
     env.run(until=BOOT_S + 1.0)

@@ -13,13 +13,13 @@ with no better delay; the coordinated controller does neither.
 
 from conftest import record
 
-from repro.cluster import Server
 from repro.control import (
     CoordinatedController,
     DelayBasedOnOff,
     ServerFarm,
     UtilizationDVFS,
 )
+from repro.fleet import VectorFleet, VectorServer
 from repro.sim import Environment
 
 HOURS = 8
@@ -27,8 +27,10 @@ HOURS = 8
 
 def build_farm():
     env = Environment()
-    servers = [Server(env, f"s{i}", capacity=100.0, boot_s=120.0,
-                      wake_s=15.0) for i in range(20)]
+    fleet = VectorFleet(env, 20)
+    servers = [VectorServer(fleet, env, f"s{i}", capacity=100.0,
+                            boot_s=120.0, wake_s=15.0) for i in range(20)]
+    fleet.make_aggregate(servers, "rack")
     for server in servers[:10]:
         server.power_on()
     env.run(until=130.0)

@@ -19,21 +19,23 @@ exactly.
 
 from conftest import record
 
-from repro.cluster import Server
 from repro.control import (
     BatchingModel,
     PerTaskDVFS,
     ResponseTimeDVFS,
     ServerFarm,
 )
+from repro.fleet import VectorFleet, VectorServer
 from repro.perf import SweepPoint, SweepRunner
 from repro.sim import Environment
 
 
 def run_rt_dvfs(demand: float, target_s: float = 0.05, hours: float = 4):
     env = Environment()
-    servers = [Server(env, f"s{i}", capacity=100.0, boot_s=60.0)
-               for i in range(10)]
+    fleet = VectorFleet(env, 10)
+    servers = [VectorServer(fleet, env, f"s{i}", capacity=100.0,
+                            boot_s=60.0) for i in range(10)]
+    fleet.make_aggregate(servers, "rack")
     for server in servers:
         server.power_on()
     env.run(until=61.0)
@@ -49,8 +51,10 @@ def run_rt_dvfs(demand: float, target_s: float = 0.05, hours: float = 4):
 
 def run_baseline(demand: float, hours: float = 4):
     env = Environment()
-    servers = [Server(env, f"s{i}", capacity=100.0, boot_s=60.0)
-               for i in range(10)]
+    fleet = VectorFleet(env, 10)
+    servers = [VectorServer(fleet, env, f"s{i}", capacity=100.0,
+                            boot_s=60.0) for i in range(10)]
+    fleet.make_aggregate(servers, "rack")
     for server in servers:
         server.power_on()
     env.run(until=61.0)

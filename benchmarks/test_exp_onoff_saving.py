@@ -15,8 +15,8 @@ hysteresis avoids.
 import numpy as np
 from conftest import record
 
-from repro.cluster import Server
 from repro.control import ForecastOnOff, ServerFarm
+from repro.fleet import VectorFleet, VectorServer
 from repro.sim import Environment
 from repro.workload import MessengerTraceGenerator
 
@@ -27,8 +27,10 @@ CAPACITY = 20_000.0
 
 def build_farm(demand_fn, n, boot_s=120.0):
     env = Environment()
-    servers = [Server(env, f"s{i}", capacity=CAPACITY, boot_s=boot_s,
-                      wake_s=15.0) for i in range(n)]
+    fleet = VectorFleet(env, n)
+    servers = [VectorServer(fleet, env, f"s{i}", capacity=CAPACITY,
+                            boot_s=boot_s, wake_s=15.0) for i in range(n)]
+    fleet.make_aggregate(servers, "rack")
     for server in servers:
         server.power_on()
     env.run(until=boot_s + 1.0)

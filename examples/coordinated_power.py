@@ -14,13 +14,13 @@ and prints the spiral as it happens, then the final scoreboard.
 Run:  python examples/coordinated_power.py
 """
 
-from repro.cluster import Server
 from repro.control import (
     CoordinatedController,
     DelayBasedOnOff,
     ServerFarm,
     UtilizationDVFS,
 )
+from repro.fleet import VectorFleet, VectorServer
 from repro.sim import Environment
 
 HOURS = 8
@@ -28,8 +28,10 @@ HOURS = 8
 
 def build_farm():
     env = Environment()
-    servers = [Server(env, f"s{i}", capacity=100.0, boot_s=120.0,
-                      wake_s=15.0) for i in range(20)]
+    fleet = VectorFleet(env, 20)
+    servers = [VectorServer(fleet, env, f"s{i}", capacity=100.0,
+                            boot_s=120.0, wake_s=15.0) for i in range(20)]
+    fleet.make_aggregate(servers, "rack")
     for server in servers[:10]:
         server.power_on()
     env.run(until=130.0)

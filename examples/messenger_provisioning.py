@@ -22,8 +22,8 @@ Run:  python examples/messenger_provisioning.py
 
 import math
 
-from repro.cluster import Server
 from repro.control import DelayBasedOnOff, ForecastOnOff, ServerFarm
+from repro.fleet import VectorFleet, VectorServer
 from repro.sim import Environment
 from repro.workload import MessengerTraceGenerator
 
@@ -33,9 +33,12 @@ CONNECTIONS_PER_SERVER = 20_000.0  # Chen et al. report O(10^4)/server
 
 def build_farm(demand_fn, n_servers, initially_on):
     env = Environment()
-    servers = [Server(env, f"msn-{i}", capacity=CONNECTIONS_PER_SERVER,
-                      boot_s=120.0, wake_s=15.0)
+    fleet = VectorFleet(env, n_servers)
+    servers = [VectorServer(fleet, env, f"msn-{i}",
+                            capacity=CONNECTIONS_PER_SERVER,
+                            boot_s=120.0, wake_s=15.0)
                for i in range(n_servers)]
+    fleet.make_aggregate(servers, "rack")
     for server in servers[:initially_on]:
         server.power_on()
     env.run(until=121.0)

@@ -39,15 +39,17 @@ def _quickstart(args: argparse.Namespace) -> int:
 
 
 def _pathology(args: argparse.Namespace) -> int:
-    from repro.cluster import Server
     from repro.control import (CoordinatedController, DelayBasedOnOff,
                                ServerFarm, UtilizationDVFS)
+    from repro.fleet import VectorFleet, VectorServer
     from repro.sim import Environment
 
     def build():
         env = Environment()
-        servers = [Server(env, f"s{i}", capacity=100.0, boot_s=120.0)
-                   for i in range(20)]
+        fleet = VectorFleet(env, 20)
+        servers = [VectorServer(fleet, env, f"s{i}", capacity=100.0,
+                                boot_s=120.0) for i in range(20)]
+        fleet.make_aggregate(servers, "rack")
         for server in servers[:10]:
             server.power_on()
         env.run(until=130.0)

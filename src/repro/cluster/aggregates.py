@@ -157,11 +157,6 @@ class FleetAggregate:
                 "active_count_corrected": count_corrected,
                 "roster_repaired": roster_repaired}
 
-    def batcher(self):
-        """Bulk-mutation interface, or ``None``: plain pools have none,
-        and ``VectorAggregate`` returns itself."""
-        return None
-
     def __repr__(self) -> str:
         return (f"<FleetAggregate n={len(self.servers)} "
                 f"active={self._active_count} {self.power_w:.0f}W>")

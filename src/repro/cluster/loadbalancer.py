@@ -4,6 +4,10 @@
 minutes" — the balancer here is a fluid dispatcher invoked on that
 cadence: given total offered work, it splits it over the currently
 ACTIVE servers under a policy and pushes per-server offered loads.
+The pool is a vector fleet's servers, so a dispatch is one batch
+kernel over the fleet columns: a policy's ``split_array`` runs on the
+active rows' effective capacities, and a policy with only ``split``
+(:class:`PackFirst`) gets the active roster.
 
 Policies:
 
@@ -22,8 +26,7 @@ import typing
 
 import numpy as np
 
-from repro.cluster.aggregates import make_pool_aggregate
-from repro.cluster.server import Server, ServerState
+from repro.cluster.server import Server
 from repro.sim import Monitor
 
 __all__ = ["LoadBalancer", "EvenSplit", "WeightedSplit", "PackFirst"]
@@ -109,7 +112,15 @@ class PackFirst:
 
 
 class LoadBalancer:
-    """Dispatch total offered load across a server pool."""
+    """Dispatch total offered load across a vector-fleet server pool.
+
+    ``servers`` are the :class:`~repro.fleet.plant.VectorServer` views
+    of one :class:`~repro.fleet.plant.VectorFleet`, every row already
+    in a rack aggregate; the balancer claims the fleet's pool
+    aggregate (see :meth:`~repro.fleet.plant.VectorFleet
+    .make_aggregate`), and every dispatch is one batch kernel call.
+    Plain :class:`Server` objects raise ``TypeError``.
+    """
 
     def __init__(self, servers: typing.Sequence[Server],
                  policy: DispatchPolicy | None = None):
@@ -117,10 +128,16 @@ class LoadBalancer:
             raise ValueError("need at least one server")
         self.servers = list(servers)
         self.policy = policy or WeightedSplit()
-        #: Event-driven pool aggregates (shared with the owning farm):
-        #: O(1) power sum and a cached in-order active roster.  A
-        #: vector-fleet pool gets the batch-capable aggregate.
-        self.fleet = make_pool_aggregate(self.servers)
+        fleet = getattr(self.servers[0], "_fleet", None)
+        if fleet is None:
+            raise TypeError(
+                f"a load balancer runs on a VectorFleet; "
+                f"{type(self.servers[0]).__name__} "
+                f"{self.servers[0].name} is not a fleet row")
+        #: The fleet's pool aggregate (shared with the owning farm):
+        #: the exact power ledger, the active roster and the batch
+        #: dispatch kernels.
+        self.fleet = fleet.make_aggregate(self.servers, "pool")
         env = self.servers[0].env
         self.offered_monitor = Monitor(env, "lb.offered")
         self.shed_monitor = Monitor(env, "lb.shed")
@@ -139,44 +156,17 @@ class LoadBalancer:
         if total_load < 0:
             raise ValueError(f"negative load {total_load}")
         self.offered_monitor.record(total_load)
-        batch = self.fleet.batcher()
-        if batch is not None:
-            if not batch.active_count:
-                batch.zero_inactive()
-                self.shed_monitor.record(total_load)
-                return 0.0
-            # Fused zero→split→apply→serve step; a repeated demand
-            # level against an unmutated fleet is one memo hit.
-            served = batch.fused_dispatch(self.policy, total_load)
-        else:
-            active = self.fleet.active_servers()
-            for server in self.servers:
-                if server._state is not ServerState.ACTIVE:
-                    # Skip redundant zeroing of an already-idle server
-                    # so monitors do not fill with no-op samples.
-                    if server._offered_load:
-                        server.set_offered_load(0.0)
-            if not active:
-                self.shed_monitor.record(total_load)
-                return 0.0
-            shares = self.policy.split(total_load, active)
-            if len(shares) != len(active):
-                raise RuntimeError(
-                    "policy returned wrong number of shares")
-            served = 0.0
-            for server, share in zip(active, shares):
-                server.set_offered_load(share)
-                served += server.delivered_load
+        fleet = self.fleet
+        if not fleet.active_count:
+            fleet.zero_inactive()
+            self.shed_monitor.record(total_load)
+            return 0.0
+        # Fused zero→split→apply→serve step; a repeated demand level
+        # against an unmutated fleet is one memo hit.
+        served = fleet.fused_dispatch(self.policy, total_load)
         self.shed_monitor.record(max(0.0, total_load - served))
         return served
 
     def total_power_w(self) -> float:
         """Wall power of the whole pool (all states); O(1) aggregate."""
         return self.fleet.power_w
-
-    def mean_utilization(self) -> float:
-        """Average utilization across *active* servers (0 if none)."""
-        active = self.fleet.active_servers()
-        if not active:
-            return 0.0
-        return sum(s.utilization for s in active) / len(active)

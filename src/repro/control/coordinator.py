@@ -31,11 +31,7 @@ import math
 
 from repro.cluster.server import ServerState
 from repro.control.farm import ServerFarm
-from repro.control.onoff import (
-    _activate_many,
-    _committed_count,
-    _deactivate_many,
-)
+from repro.control.onoff import _activate_many, _deactivate_many
 from repro.sim import Monitor
 
 __all__ = ["CoordinatedController"]
@@ -95,7 +91,7 @@ class CoordinatedController:
         # control plane attached, the committed count and active
         # roster are *believed* state — the controller cannot see
         # whether its wake commands actually landed.
-        cp = getattr(farm, "control_plane", None)
+        cp = farm.control_plane
         mediated = cp is not None and not cp.perfect
         target = max(1, math.ceil(demand / per_server_full))
         target = min(target, len(farm.servers))
@@ -104,7 +100,7 @@ class CoordinatedController:
                 1 for s in farm.servers
                 if cp.believed_state(s) is ServerState.ACTIVE)
         else:
-            committed = _committed_count(farm)
+            committed = farm.fleet.committed_count()
         if committed < target:
             _activate_many(farm, target - committed)
         elif committed > target:
@@ -112,12 +108,12 @@ class CoordinatedController:
 
         # Step 2: trim speed on the fleet we just sized.  Required
         # per-server speed fraction so that `target` machines at the
-        # target utilization still cover demand.  A vector fleet runs
-        # one power model and sets P-states in bulk, so it needs no
-        # roster: the count and the first server's table suffice.
-        batch = farm.fleet.batcher() if cp is None else None
+        # target utilization still cover demand.  The fleet runs one
+        # power model, so the first server's table is every server's;
+        # without a plane, P-states move in one bulk kernel call and
+        # no roster is needed.
+        batch = farm.fleet if cp is None else None
         if batch is not None:
-            active = None
             n_active = batch.active_count
         else:
             active = (cp.believed_active(farm) if mediated
@@ -126,17 +122,13 @@ class CoordinatedController:
         pstate = 0
         if n_active:
             capacity_needed = demand / (target * per_server_full)
-            table = (farm.servers[0] if active is None
-                     else active[0]).model.pstates
+            table = farm.servers[0].model.pstates
             pstate = table.slowest_state_meeting(min(capacity_needed, 1.0))
             if batch is not None:
                 batch.batch_set_pstate(pstate)
             else:
                 for server in active:
-                    if cp is not None:
-                        cp.set_pstate(server, pstate)
-                    else:
-                        server.set_pstate(pstate)
+                    cp.set_pstate(server, pstate)
             tracer = farm.env.tracer
             if tracer is not None and pstate != self._last_pstate:
                 tracer.event("dvfs.set", "actuation", index=pstate,

@@ -10,6 +10,14 @@ signals every §4/§5 policy consumes:
   DVS-oblivious controller cannot tell "slow CPUs" from "too few
   machines", which is precisely the §5.1 failure mode),
 * total wall power.
+
+The pool is the :class:`~repro.fleet.plant.VectorServer` rows of one
+:class:`~repro.fleet.plant.VectorFleet`, already racked: the balancer
+claims the fleet's pool aggregate, so dispatch, both means and the
+On/Off transitions are batch kernels over its columns.  A caller
+builds ``VectorFleet(env, n)``, the servers on it, one rack aggregate
+(``fleet.make_aggregate(servers, "rack")``), then the farm.  Plain
+:class:`~repro.cluster.server.Server` pools raise ``TypeError``.
 """
 
 from __future__ import annotations
@@ -18,14 +26,13 @@ import typing
 
 from repro.cluster.loadbalancer import EvenSplit, LoadBalancer
 from repro.cluster.server import Server
-from repro.control.queueing import mm1_response_time
 from repro.sim import CounterMonitor, Environment, Monitor
 
 __all__ = ["ServerFarm"]
 
 
 class ServerFarm:
-    """Demand → dispatch → measurement loop over a server pool.
+    """Demand → dispatch → measurement loop over a vector-fleet pool.
 
     Parameters
     ----------
@@ -52,9 +59,9 @@ class ServerFarm:
         self.dispatch_period_s = float(dispatch_period_s)
         self.delay_cap_s = float(delay_cap_s)
         self.balancer = LoadBalancer(self.servers, policy=policy or EvenSplit())
-        #: Event-driven pool aggregates (power sum, active count and
-        #: roster), shared with the balancer so every server carries a
-        #: single farm-level watcher.  See ``cluster.aggregates``.
+        #: The fleet's pool aggregate (power ledger, active count and
+        #: roster, batch kernels), shared with the balancer.  See
+        #: ``fleet.aggregates``.
         self.fleet = self.balancer.fleet
         #: Fraction of offered demand admitted (brownout knob).  The
         #: macro layer lowers this in degraded operations; refused work
@@ -94,11 +101,7 @@ class ServerFarm:
         """
         if not self.fleet.active_count:
             return 1.0  # no capacity at all: saturated by definition
-        fast = getattr(self.fleet, "mean_utilization_active", None)
-        if fast is not None:
-            return fast()
-        active = self.fleet.active_servers()
-        return sum(s.utilization for s in active) / len(active)
+        return self.fleet.mean_utilization_active()
 
     def mean_response_time_s(self) -> float:
         """Measured mean response time across active servers.
@@ -114,16 +117,7 @@ class ServerFarm:
         """
         if not self.fleet.active_count:
             return self.delay_cap_s
-        fast = getattr(self.fleet, "mean_response_time_active", None)
-        if fast is not None:
-            return fast(self.delay_cap_s)
-        active = self.fleet.active_servers()
-        total = 0.0
-        for server in active:
-            total += mm1_response_time(server.offered_load,
-                                       max(server.effective_capacity, 1e-9),
-                                       saturation_cap_s=self.delay_cap_s)
-        return total / len(active)
+        return self.fleet.mean_response_time_active(self.delay_cap_s)
 
     def total_power_w(self) -> float:
         """Total wall power of the pool (event-driven aggregate; O(1))."""
@@ -135,10 +129,10 @@ class ServerFarm:
     def step(self) -> None:
         """One dispatch + measurement tick.
 
-        Costs O(active) — the servers whose load actually changes —
-        rather than O(fleet): power and the active count come from the
-        event-driven aggregates, and the utilization/delay means scan
-        the cached active roster instead of the whole pool.
+        Costs O(active) column work at most — O(1) when no dispatch
+        input moved: power and the active count come from the exact
+        aggregates, and the dispatch and utilization/delay means are
+        batch kernels memoized on the fleet's mutation epoch.
         """
         demand = self.demand_fn(self.env.now)
         admitted = demand * self.admission_fraction

@@ -15,13 +15,16 @@ Two flavors:
 
 Both prefer waking SLEEPING machines over booting OFF ones and drain
 via the load balancer implicitly (the farm re-dispatches next tick).
+Every actuation takes one of two paths: the attached control plane's
+per-command path, or — with no plane — the vector fleet's transition
+kernel (``start_many``/``stop_many``), one call per decision, traced
+as ``via="controlplane"`` and ``via="fleet"`` respectively.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.cluster.server import ServerState
 from repro.control.farm import ServerFarm
 from repro.sim import Monitor
 
@@ -45,167 +48,67 @@ def _trace_deactivate(farm: ServerFarm, name: str | None,
                      to_sleep=to_sleep, via=via)
 
 
-def _start_vector(farm: ServerFarm, start, count: int) -> int:
-    """Start up to ``count`` machines of a vector fleet.
-
-    One scan of the state column picks the lowest SLEEPING rows, then
-    the lowest OFF rows — the same choice as repeated single scans,
-    and one that keeps the active rows a contiguous run — and the
-    fleet's transition kernel starts them all.
-    """
-    quarantined = getattr(farm, "quarantined_zones", frozenset())
-    rows = start(quarantined, count)
-    if farm.env.tracer is not None:
-        for i in rows.tolist():
-            _trace_activate(farm, farm.servers[i].name, "vector")
-    return rows.size
-
-
-def _stop_vector(farm: ServerFarm, stop, to_sleep: bool,
-                 count: int) -> int:
-    """Drain and sleep/shut the highest ``count`` ACTIVE rows of a
-    vector fleet, back to front, in one kernel call."""
-    rows = stop(count, to_sleep)
-    if farm.env.tracer is not None:
-        for i in rows.tolist():
-            _trace_deactivate(farm, farm.servers[i].name, to_sleep,
-                              "direct")
-    return rows.size
-
-
-def _activate_one(farm: ServerFarm) -> bool:
-    """Wake (preferred) or boot one machine; True if one was started.
+def _activate_many(farm: ServerFarm, count: int) -> int:
+    """Wake (preferred) or boot up to ``count`` machines; returns how
+    many were started.
 
     Skips servers in quarantined zones — a zone whose cooling is down
     must not receive fresh capacity, or the controller re-creates the
     thermal hazard the macro layer just drained.
 
-    When the farm has a :class:`~repro.controlplane.ControlPlane`
-    attached, selection and command both go through it: a perfect
-    plane reproduces this exact scan and calls synchronously, while an
-    impaired one can only select on believed state and the command has
-    to survive the actuation network.
-    """
-    quarantined = getattr(farm, "quarantined_zones", frozenset())
-    cp = getattr(farm, "control_plane", None)
-    if cp is not None:
-        started = cp.activate_one(quarantined)
-        if started:
-            _trace_activate(farm, cp.last_actuated, "controlplane")
-        return started
-    start = getattr(farm.fleet, "start_startable", None)
-    if start is not None:
-        return _start_vector(farm, start, 1) > 0
-    for server in farm.servers:
-        if (server.state is ServerState.SLEEPING
-                and server.zone not in quarantined):
-            server.wake()
-            _trace_activate(farm, server.name, "direct")
-            return True
-    for server in farm.servers:
-        if (server.state is ServerState.OFF
-                and server.zone not in quarantined):
-            server.power_on()
-            _trace_activate(farm, server.name, "direct")
-            return True
-    return False
-
-
-def _activate_many(farm: ServerFarm, count: int) -> int:
-    """Start up to ``count`` machines; returns how many were started.
-
-    Waking a machine never changes any *other* machine's eligibility,
-    so taking the first ``count`` startable servers in one scan is
-    exactly the ``count``-times-repeated single scan — which is what
-    the fallback loop literally does.
+    Without a control plane, one scan of the state column picks the
+    lowest SLEEPING rows, then the lowest OFF rows — the same choice
+    as ``count`` repeated single picks, since starting a server only
+    removes *it* from the candidates, and one that keeps the active
+    rows a contiguous run — and the fleet's transition kernel starts
+    them all.  With a :class:`~repro.controlplane.ControlPlane`
+    attached, selection and command go through it one machine at a
+    time: a perfect plane reproduces the same choice, while an
+    impaired one can only select on believed state and each command
+    has to survive the actuation network.
     """
     if count <= 0:
         return 0
-    if getattr(farm, "control_plane", None) is None:
-        start = getattr(farm.fleet, "start_startable", None)
-        if start is not None:
-            return _start_vector(farm, start, count)
-    started = 0
-    for _ in range(count):
-        if not _activate_one(farm):
-            break
-        started += 1
-    return started
-
-
-def _deactivate_one(farm: ServerFarm, to_sleep: bool) -> bool:
-    """Drain and sleep/shut one ACTIVE machine; True if done."""
-    cp = getattr(farm, "control_plane", None)
+    quarantined = farm.quarantined_zones
+    cp = farm.control_plane
     if cp is not None:
-        done = cp.deactivate_one(to_sleep)
-        if done:
-            _trace_deactivate(farm, cp.last_actuated, to_sleep,
-                              "controlplane")
-        return done
-    stop = getattr(farm.fleet, "stop_tail", None)
-    if stop is not None:
-        return _stop_vector(farm, stop, to_sleep, 1) > 0
-    active = farm.active_servers()
-    if len(active) <= 1:
-        return False  # never scale to zero
-    victim = active[-1]
-    victim.set_offered_load(0.0)
-    if to_sleep:
-        victim.sleep()
-    else:
-        victim.shut_down()
-    _trace_deactivate(farm, victim.name, to_sleep, "direct")
-    return True
+        started = 0
+        while started < count and cp.activate_one(quarantined):
+            _trace_activate(farm, cp.last_actuated, "controlplane")
+            started += 1
+        return started
+    rows = farm.fleet.start_startable(quarantined, count)
+    if farm.env.tracer is not None:
+        for i in rows.tolist():
+            _trace_activate(farm, farm.servers[i].name, "fleet")
+    return rows.size
 
 
 def _deactivate_many(farm: ServerFarm, to_sleep: bool, count: int) -> int:
     """Drain and sleep/shut up to ``count`` machines from the tail.
 
-    The repeated single-victim loop always takes the *last* active
-    server, so the victims are the roster's tail processed back to
-    front; doing that against one roster snapshot issues the identical
-    mutation sequence without rebuilding the roster per victim (the
-    O(victims × fleet) cost that dominated large scale-downs).  A
-    vector fleet takes the tail of its active rows and stops them in
-    one kernel call.  Never scales below one active server.
+    The victims are the highest ACTIVE rows, back to front — what
+    ``count`` repeated single-victim picks of the last active server
+    take — stopped in one transition-kernel call; through a control
+    plane, one command at a time.  Never scales below one active
+    server.
     """
     if count <= 0:
         return 0
-    cp = getattr(farm, "control_plane", None)
+    cp = farm.control_plane
     if cp is not None:
         done = 0
-        for _ in range(count):
-            if not cp.deactivate_one(to_sleep):
-                break
+        while done < count and cp.deactivate_one(to_sleep):
             _trace_deactivate(farm, cp.last_actuated, to_sleep,
                               "controlplane")
             done += 1
         return done
-    stop = getattr(farm.fleet, "stop_tail", None)
-    if stop is not None:
-        return _stop_vector(farm, stop, to_sleep, count)
-    active = farm.active_servers()
-    victims = min(count, len(active) - 1)
-    if victims <= 0:
-        return 0
-    for victim in reversed(active[len(active) - victims:]):
-        victim.set_offered_load(0.0)
-        if to_sleep:
-            victim.sleep()
-        else:
-            victim.shut_down()
-        _trace_deactivate(farm, victim.name, to_sleep, "direct")
-    return victims
-
-
-def _committed_count(farm: ServerFarm) -> int:
-    """Servers committed to serving (ACTIVE, BOOTING or WAKING)."""
-    fast = getattr(farm.fleet, "committed_count", None)
-    if fast is not None:
-        return fast()
-    return sum(1 for s in farm.servers
-               if s.state in (ServerState.ACTIVE, ServerState.BOOTING,
-                              ServerState.WAKING))
+    rows = farm.fleet.stop_tail(count, to_sleep)
+    if farm.env.tracer is not None:
+        for i in rows.tolist():
+            _trace_deactivate(farm, farm.servers[i].name, to_sleep,
+                              "fleet")
+    return rows.size
 
 
 class DelayBasedOnOff:
@@ -229,9 +132,10 @@ class DelayBasedOnOff:
         """One decision: +1 added a machine, −1 removed, 0 held."""
         delay = self.farm.mean_response_time_s()
         if delay > self.high_delay_s:
-            action = 1 if _activate_one(self.farm) else 0
+            action = 1 if _activate_many(self.farm, 1) else 0
         elif delay < self.low_delay_s:
-            action = -1 if _deactivate_one(self.farm, self.to_sleep) else 0
+            action = -1 if _deactivate_many(self.farm, self.to_sleep,
+                                            1) else 0
         else:
             action = 0
         self.action_monitor.record(action)
@@ -298,7 +202,7 @@ class ForecastOnOff:
         target = min(self.needed_servers(demand), len(self.farm.servers))
         self.target_monitor.record(target)
         # Machines already on their way up count toward the target.
-        committed = _committed_count(self.farm)
+        committed = self.farm.fleet.committed_count()
         if committed < target:
             self._surplus_since = None
             _activate_many(self.farm, target - committed)

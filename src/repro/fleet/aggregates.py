@@ -22,8 +22,10 @@ queries).  Each batch lands on the state the scalar sequence reaches:
 
 The fleet checks its wiring as it is built (see ``plant``): every
 server is watched by exactly its rack aggregate and this aggregate.
-So a batch always folds into those two and nothing else, and
-:meth:`VectorAggregate.batcher` is simply ``self``.
+So a batch always folds into those two and nothing else.  Every
+:class:`~repro.control.farm.ServerFarm` and
+:class:`~repro.cluster.loadbalancer.LoadBalancer` runs on a
+:class:`VectorAggregate` pool and calls its kernels directly.
 """
 
 from __future__ import annotations
@@ -103,10 +105,6 @@ class VectorAggregate(FleetAggregate):
     # ------------------------------------------------------------------
     # Batch mutators
     # ------------------------------------------------------------------
-    def batcher(self) -> "VectorAggregate":
-        """This aggregate: its wiring was checked at construction."""
-        return self
-
     def start_startable(self, quarantined, count: int) -> np.ndarray:
         """Start up to ``count`` servers — the lowest SLEEPING rows,
         then the lowest OFF rows, outside quarantined zones — through
@@ -234,9 +232,12 @@ class VectorAggregate(FleetAggregate):
 
         Servers whose load is unchanged are skipped entirely: the
         scalar fast path only re-records the held power, which for an
-        :class:`~repro.fleet.plant.EnergyMeter` is a lazy no-op (the
-        joule total is identical whether the held segment is flushed
-        now or at its eventual close).  When every load changes and
+        :class:`~repro.fleet.plant.EnergyMeter` is a lazy no-op.  The
+        meter integrates the held segment in one piece when it
+        closes, where a plain ``Monitor`` splits it at every
+        same-value re-record, so a server's ∫P dt agrees with the
+        scalar path to rounding (not bit for bit); the farm monitors
+        and the quanta ledgers are exact.  When every load changes and
         ``idx`` is one contiguous run — the shape the On/Off
         controllers keep — the columns are read and written through
         slices.

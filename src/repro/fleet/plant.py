@@ -789,8 +789,10 @@ class VectorFleet:
                 f"racks={self.n_racks} nonlinearity={self.nonlinearity}>")
 
 
-def _column_property(column: str, doc: str, tracked: bool = False):
-    """Float column accessor: plain-float reads, direct writes.
+def _column_property(column: str, doc: str, cast=float,
+                     tracked: bool = False):
+    """Column accessor: reads ``cast`` the element to a plain Python
+    number (``float`` or ``int``), writes store directly.
 
     ``tracked`` columns are dispatch inputs: their setters bump the
     fleet's :attr:`~VectorFleet.mutation_epoch` so the farm
@@ -798,23 +800,7 @@ def _column_property(column: str, doc: str, tracked: bool = False):
     """
 
     def fget(self):
-        return float(getattr(self._fleet, column)[self._idx])
-
-    if tracked:
-        def fset(self, value):
-            fleet = self._fleet
-            getattr(fleet, column)[self._idx] = value
-            fleet.mutation_epoch += 1
-    else:
-        def fset(self, value):
-            getattr(self._fleet, column)[self._idx] = value
-
-    return property(fget, fset, doc=doc)
-
-
-def _int_column_property(column: str, doc: str, tracked: bool = False):
-    def fget(self):
-        return int(getattr(self._fleet, column)[self._idx])
+        return cast(getattr(self._fleet, column)[self._idx])
 
     if tracked:
         def fset(self, value):
@@ -913,7 +899,7 @@ class VectorServer(Server):
     capacity = _column_property("capacity", "P0 capacity column.",
                                 tracked=True)
     sleep_w = _column_property("sleep_w", "Sleep-draw column.")
-    _pstate = _int_column_property("pstate", "P-state column.",
-                                   tracked=True)
-    _tstate = _int_column_property("tstate", "T-state column.",
-                                   tracked=True)
+    _pstate = _column_property("pstate", "P-state column.", int,
+                               tracked=True)
+    _tstate = _column_property("tstate", "T-state column.", int,
+                               tracked=True)

@@ -12,12 +12,25 @@ from repro.cluster import (
     ServerState,
     WeightedSplit,
 )
+from repro.fleet import VectorFleet, VectorServer
 from repro.sim import Environment
 
 
 def pool(env, n, capacity=100.0, **kwargs):
     servers = [Server(env, f"s{i}", capacity=capacity, **kwargs)
                for i in range(n)]
+    for s in servers:
+        s.power_on()
+    env.run(until=env.now + 200.0)
+    return servers
+
+
+def fleet_pool(env, n, capacity=100.0):
+    """``n`` ACTIVE vector servers in one rack: a balancer's pool."""
+    fleet = VectorFleet(env, n)
+    servers = [VectorServer(fleet, env, f"s{i}", capacity=capacity)
+               for i in range(n)]
+    fleet.make_aggregate(servers, "rack")
     for s in servers:
         s.power_on()
     env.run(until=env.now + 200.0)
@@ -34,7 +47,7 @@ def test_lb_requires_servers():
 
 def test_even_split(env=None):
     env = Environment()
-    servers = pool(env, 4)
+    servers = fleet_pool(env, 4)
     lb = LoadBalancer(servers, policy=EvenSplit())
     served = lb.dispatch(200.0)
     assert served == pytest.approx(200.0)
@@ -44,7 +57,7 @@ def test_even_split(env=None):
 
 def test_weighted_split_respects_pstates():
     env = Environment()
-    servers = pool(env, 2)
+    servers = fleet_pool(env, 2)
     servers[0].set_pstate(5)  # half speed
     lb = LoadBalancer(servers, policy=WeightedSplit())
     lb.dispatch(90.0)
@@ -55,7 +68,7 @@ def test_weighted_split_respects_pstates():
 
 def test_pack_first_leaves_idle_tail():
     env = Environment()
-    servers = pool(env, 4, capacity=100.0)
+    servers = fleet_pool(env, 4, capacity=100.0)
     lb = LoadBalancer(servers, policy=PackFirst(target_utilization=0.8))
     lb.dispatch(100.0)
     assert servers[0].offered_load == pytest.approx(80.0)
@@ -66,7 +79,7 @@ def test_pack_first_leaves_idle_tail():
 
 def test_pack_first_overflow_spreads():
     env = Environment()
-    servers = pool(env, 2, capacity=100.0)
+    servers = fleet_pool(env, 2, capacity=100.0)
     lb = LoadBalancer(servers, policy=PackFirst(target_utilization=0.5))
     lb.dispatch(150.0)  # room at target = 100; 50 overflow
     total = sum(s.offered_load for s in servers)
@@ -80,7 +93,7 @@ def test_pack_first_validation():
 
 def test_dispatch_skips_inactive_servers():
     env = Environment()
-    servers = pool(env, 3)
+    servers = fleet_pool(env, 3)
     servers[2].shut_down()
     lb = LoadBalancer(servers, policy=EvenSplit())
     served = lb.dispatch(90.0)
@@ -91,7 +104,7 @@ def test_dispatch_skips_inactive_servers():
 
 def test_dispatch_all_down_sheds_everything():
     env = Environment()
-    servers = pool(env, 2)
+    servers = fleet_pool(env, 2)
     for s in servers:
         s.shut_down()
     lb = LoadBalancer(servers)
@@ -99,20 +112,26 @@ def test_dispatch_all_down_sheds_everything():
     assert lb.shed_monitor.last == pytest.approx(100.0)
 
 
+def test_lb_refuses_plain_servers():
+    env = Environment()
+    with pytest.raises(TypeError, match="VectorFleet"):
+        LoadBalancer(pool(env, 2))
+
+
 def test_dispatch_negative_rejected():
     env = Environment()
-    servers = pool(env, 1)
+    servers = fleet_pool(env, 1)
     with pytest.raises(ValueError):
         LoadBalancer(servers).dispatch(-1.0)
 
 
 def test_lb_power_and_utilization_metrics():
     env = Environment()
-    servers = pool(env, 2)
+    servers = fleet_pool(env, 2)
     lb = LoadBalancer(servers)
     lb.dispatch(100.0)
     assert lb.total_power_w() > 2 * servers[0].model.idle_w
-    assert 0.0 < lb.mean_utilization() <= 1.0
+    assert all(0.0 < s.utilization <= 1.0 for s in lb.active_servers())
 
 
 # ----------------------------------------------------------------------

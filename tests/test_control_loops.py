@@ -17,13 +17,23 @@ from repro.control import (
     ServerFarm,
     UtilizationDVFS,
 )
+from repro.fleet import VectorFleet, VectorServer
+from repro.obs import Tracer
 from repro.sim import Environment
+
+
+def racked(env, n, **kwargs):
+    """``n`` vector servers on one fleet, in one rack: a farm's pool."""
+    fleet = VectorFleet(env, n)
+    servers = [VectorServer(fleet, env, f"s{i}", **kwargs)
+               for i in range(n)]
+    fleet.make_aggregate(servers, "rack")
+    return servers
 
 
 def build_farm(n=20, active=10, demand=600.0, capacity=100.0):
     env = Environment()
-    servers = [Server(env, f"s{i}", capacity=capacity,
-                      boot_s=120.0, wake_s=15.0) for i in range(n)]
+    servers = racked(env, n, capacity=capacity, boot_s=120.0, wake_s=15.0)
     for s in servers[:active]:
         s.power_on()
     env.run(until=130.0)
@@ -39,10 +49,17 @@ def build_farm(n=20, active=10, demand=600.0, capacity=100.0):
 # ----------------------------------------------------------------------
 def test_farm_validation():
     env = Environment()
-    servers = [Server(env, "s0")]
+    servers = racked(env, 1)
     with pytest.raises(ValueError):
         ServerFarm(env, servers, demand_fn=lambda t: 0.0,
                    dispatch_period_s=0.0)
+
+
+def test_farm_refuses_plain_servers():
+    env = Environment()
+    servers = [Server(env, f"s{i}") for i in range(2)]
+    with pytest.raises(TypeError, match="VectorFleet"):
+        ServerFarm(env, servers, demand_fn=lambda t: 0.0)
 
 
 def test_farm_signals_sane():
@@ -56,7 +73,7 @@ def test_farm_signals_sane():
 
 def test_farm_no_active_servers_saturated_signals():
     env = Environment()
-    servers = [Server(env, "s0")]  # OFF
+    servers = racked(env, 1)  # OFF
     farm = ServerFarm(env, servers, demand_fn=lambda t: 100.0)
     assert farm.mean_utilization() == 1.0
     assert farm.mean_response_time_s() == farm.delay_cap_s
@@ -189,6 +206,22 @@ def test_forecast_onoff_hysteresis_prevents_churn():
     env.run(until=6000.0)
     # Fleet never dropped below what 900 demand needs.
     assert farm.active_monitor.minimum() >= 13
+
+
+def test_onoff_traces_wakes_and_sleeps_with_one_label():
+    """Both directions run the fleet's transition kernel, and the
+    flight recorder names that path the same way for both."""
+    env, farm = build_farm(demand=lambda t: 1_200.0 if t < 1_800.0
+                           else 200.0)
+    tracer = Tracer().bind(env)
+    controller = ForecastOnOff(farm, period_s=300.0,
+                               scale_down_after_s=0.0)
+    env.process(controller.run())
+    env.run(until=4_000.0)
+    labels = {(e.name, e.attrs["via"]) for e in tracer.events
+              if e.name.startswith("onoff.")}
+    assert labels == {("onoff.activate", "fleet"),
+                      ("onoff.deactivate", "fleet")}
 
 
 def test_forecast_onoff_never_scales_to_zero():

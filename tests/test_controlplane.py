@@ -30,6 +30,7 @@ from repro.controlplane import (
 )
 from repro.datacenter.cosim import CoSimulation
 from repro.datacenter.spec import DataCenterSpec
+from repro.fleet import VectorFleet, VectorServer
 from repro.sim import Environment, RandomStreams
 
 
@@ -378,11 +379,19 @@ def test_watchdog_exempts_expected_down_servers():
 # ----------------------------------------------------------------------
 # Reconciliation
 # ----------------------------------------------------------------------
+def racked_sleepers(env, n):
+    """``n`` SLEEPING vector servers in one rack: a farm's pool."""
+    fleet = VectorFleet(env, n)
+    servers = [VectorServer(fleet, env, f"dc-r0-s{i}",
+                            initial_state=ServerState.SLEEPING)
+               for i in range(n)]
+    fleet.make_aggregate(servers, "rack")
+    return servers
+
+
 def test_reconciler_reissues_divergent_command():
     env = Environment()
-    servers = [Server(env, f"dc-r0-s{i}",
-                      initial_state=ServerState.SLEEPING)
-               for i in range(3)]
+    servers = racked_sleepers(env, 3)
     farm = ServerFarm(env, servers, demand_fn=lambda t: 0.0)
     profile = ControlPlaneProfile(
         actuation=ActuationProfile(latency_s=1.0, max_retries=0,
@@ -417,9 +426,7 @@ def test_reconciler_reissues_divergent_command():
 
 def test_reconcile_calls_fleet_verify():
     env = Environment()
-    servers = [Server(env, f"dc-r0-s{i}",
-                      initial_state=ServerState.SLEEPING)
-               for i in range(3)]
+    servers = racked_sleepers(env, 3)
     farm = ServerFarm(env, servers, demand_fn=lambda t: 0.0)
     plane = ControlPlane(
         env, servers,

@@ -3,10 +3,10 @@ resource manager (Figure 4)."""
 
 import pytest
 
-from repro.cluster import Server
 from repro.control import ServerFarm
 from repro.cooling import CRACUnit, MachineRoom, ThermalZone
 from repro.core import CoolingAwarePlacer, MacroResourceManager, SLA
+from repro.fleet import VectorFleet, VectorServer
 from repro.sim import Environment
 
 
@@ -90,9 +90,11 @@ def test_prediction_matches_simulation():
 def manager_setup(demand=600.0, budget=None, with_room=False,
                   forecaster=None):
     env = Environment()
-    servers = [Server(env, f"s{i}", capacity=100.0, boot_s=60.0,
-                      zone="A" if i % 2 == 0 else "B")
+    fleet = VectorFleet(env, 20)
+    servers = [VectorServer(fleet, env, f"s{i}", capacity=100.0,
+                            boot_s=60.0, zone="A" if i % 2 == 0 else "B")
                for i in range(20)]
+    fleet.make_aggregate(servers, "rack")
     for s in servers[:10]:
         s.power_on()
     env.run(until=70.0)
@@ -200,8 +202,10 @@ def test_manager_records_sla_risk_when_model_provided():
     from repro.core import RiskModel
 
     env = Environment()
-    servers = [Server(env, f"s{i}", capacity=100.0, boot_s=60.0)
-               for i in range(20)]
+    fleet = VectorFleet(env, 20)
+    servers = [VectorServer(fleet, env, f"s{i}", capacity=100.0,
+                            boot_s=60.0) for i in range(20)]
+    fleet.make_aggregate(servers, "rack")
     for s in servers[:10]:
         s.power_on()
     env.run(until=70.0)

@@ -16,8 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Server
-from repro.cluster.aggregates import make_pool_aggregate
 from repro.control import DelayBasedOnOff, ServerFarm, UtilizationDVFS
 from repro.datacenter import CoSimulation, DataCenterSpec
 from repro.fleet import VectorFleet, VectorServer
@@ -53,19 +51,15 @@ def test_cosim_pair_reruns_bit_identically():
         assert a.sla.served_fraction == b.sla.served_fraction
 
 
-def _run_farm(hours=8.0, vector=False):
-    """A farm with DVFS + On/Off churn (plenty of power deltas), on
-    plain servers or on a vector plant of four racks."""
+def _run_farm(hours=8.0):
+    """A farm with DVFS + On/Off churn (plenty of power deltas) on a
+    vector plant of four racks."""
     env = Environment()
-    if vector:
-        fleet = VectorFleet(env, 20)
-        servers = [VectorServer(fleet, env, f"s{i}", capacity=100.0,
-                                boot_s=60.0) for i in range(20)]
-        for lo in range(0, 20, 5):
-            make_pool_aggregate(servers[lo:lo + 5], kind="rack")
-    else:
-        servers = [Server(env, f"s{i}", capacity=100.0, boot_s=60.0)
-                   for i in range(20)]
+    fleet = VectorFleet(env, 20)
+    servers = [VectorServer(fleet, env, f"s{i}", capacity=100.0,
+                            boot_s=60.0) for i in range(20)]
+    for lo in range(0, 20, 5):
+        fleet.make_aggregate(servers[lo:lo + 5], kind="rack")
     for server in servers[:12]:
         server.power_on()
     env.run(until=61.0)
@@ -135,16 +129,13 @@ def test_incremental_energy_matches_forced_recompute(seed):
 
 def test_aggregate_drift_stays_negligible():
     """After hours of churn the ledger still equals an exact recount,
-    on plain servers and on a vector plant's pool and racks."""
-    for vector in (False, True):
-        farm = _run_farm(vector=vector)
-        assert farm.fleet.verify()["power_drift_w"] == 0.0
-        if vector:
-            fleet = farm.servers[0]._fleet
-            for rack in fleet.rack_aggs:
-                assert rack.verify()["power_drift_w"] == 0.0
-        assert farm.fleet.power_w == pytest.approx(
-            sum(s.power_w() for s in farm.servers), rel=1e-12)
+    on the vector plant's pool and racks."""
+    farm = _run_farm()
+    assert farm.fleet.verify()["power_drift_w"] == 0.0
+    for rack in farm.servers[0]._fleet.rack_aggs:
+        assert rack.verify()["power_drift_w"] == 0.0
+    assert farm.fleet.power_w == pytest.approx(
+        sum(s.power_w() for s in farm.servers), rel=1e-12)
 
 
 def test_aggregate_counts_match_scan():

@@ -11,12 +11,13 @@ values and hand-set zone temperatures, with no fault engine and no
 simulation processes, so each edge is hit at an exact timestamp.
 """
 
-from repro.cluster.server import Server, ServerState
+from repro.cluster.server import ServerState
 from repro.control.farm import ServerFarm
 from repro.cooling import CRACUnit, MachineRoom, ThermalZone
 from repro.core import FaultKind
 from repro.core.faults import FacilityStatus, IncidentRecord
 from repro.core.manager import DegradedOpsPolicy, MacroResourceManager
+from repro.fleet import VectorFleet, VectorServer
 from repro.sim import Environment
 
 
@@ -30,9 +31,12 @@ def make_manager(env, **policy_kwargs):
     room = MachineRoom(env, zones, cracs,
                        conductance_w_per_k=[[4000.0, 200.0],
                                             [200.0, 4000.0]])
-    servers = [Server(env, f"dc-r{r}-s{s}", zone=f"zone-{r}",
-                      initial_state=ServerState.ACTIVE)
+    fleet = VectorFleet(env, 10)
+    servers = [VectorServer(fleet, env, f"dc-r{r}-s{s}", zone=f"zone-{r}",
+                            initial_state=ServerState.ACTIVE)
                for r in range(2) for s in range(5)]
+    for r in range(2):
+        fleet.make_aggregate(servers[5 * r:5 * r + 5], "rack")
     farm = ServerFarm(env, servers, demand_fn=lambda t: 0.0)
     policy = DegradedOpsPolicy(recovery_hold_s=600.0, drain_margin_c=3.0,
                                **policy_kwargs)

@@ -18,6 +18,7 @@ from repro.cluster import (
 from repro.cluster.server import POWERED_STATES
 from repro.control.farm import ServerFarm
 from repro.core.chaos import FailureInjector
+from repro.fleet import VectorFleet, VectorServer
 from repro.sim import Environment, RandomStreams
 
 
@@ -25,6 +26,18 @@ def make_server(env, name="s0", **kwargs):
     kwargs.setdefault("boot_s", 120.0)
     kwargs.setdefault("wake_s", 15.0)
     return Server(env, name, **kwargs)
+
+
+def make_pool(env, n, **kwargs):
+    """``n`` vector servers with ``make_server``'s defaults, in one
+    rack: a balancer's pool."""
+    kwargs.setdefault("boot_s", 120.0)
+    kwargs.setdefault("wake_s", 15.0)
+    fleet = VectorFleet(env, n)
+    servers = [VectorServer(fleet, env, f"s{i}", **kwargs)
+               for i in range(n)]
+    fleet.make_aggregate(servers, "rack")
+    return servers
 
 
 def test_fail_during_boot_is_not_resurrected():
@@ -107,7 +120,7 @@ def test_failed_server_draws_off_power_and_sheds_load():
 
 def test_balancer_never_routes_to_failed_server():
     env = Environment()
-    servers = [make_server(env, f"s{i}") for i in range(4)]
+    servers = make_pool(env, 4)
     for s in servers:
         s.power_on()
     env.run(until=121.0)
@@ -126,7 +139,7 @@ def test_balancer_never_routes_to_failed_server():
 
 def test_farm_loop_excludes_failed_servers():
     env = Environment()
-    servers = [make_server(env, f"s{i}", capacity=100.0) for i in range(4)]
+    servers = make_pool(env, 4, capacity=100.0)
     for s in servers:
         s.power_on()
     env.run(until=121.0)

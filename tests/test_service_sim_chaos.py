@@ -4,7 +4,7 @@ queueing theory) and the failure injector."""
 import numpy as np
 import pytest
 
-from repro.cluster import Server, ServerState
+from repro.cluster import ServerState
 from repro.control import (
     ServerFarm,
     ForecastOnOff,
@@ -12,6 +12,7 @@ from repro.control import (
     mmc_response_time,
 )
 from repro.core import FailureInjector
+from repro.fleet import VectorFleet, VectorServer
 from repro.sim import Environment
 from repro.workload import ServiceSimulation
 
@@ -84,8 +85,10 @@ def test_percentiles_ordered():
 # ----------------------------------------------------------------------
 def farm_with_injector(mtbf_s, repair_s, n=12, demand=500.0):
     env = Environment()
-    servers = [Server(env, f"s{i}", capacity=100.0, boot_s=60.0)
-               for i in range(n)]
+    fleet = VectorFleet(env, n)
+    servers = [VectorServer(fleet, env, f"s{i}", capacity=100.0,
+                            boot_s=60.0) for i in range(n)]
+    fleet.make_aggregate(servers, "rack")
     for server in servers:
         server.power_on()
     env.run(until=61.0)

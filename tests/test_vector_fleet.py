@@ -211,7 +211,6 @@ def test_make_pool_aggregate_falls_back_for_plain_servers():
     servers = [Server(env, f"s{i}") for i in range(3)]
     agg = make_pool_aggregate(servers)
     assert type(agg) is FleetAggregate
-    assert agg.batcher() is None
 
 
 def test_vector_aggregate_tracks_scalar_invariants():
@@ -262,7 +261,7 @@ class _Mute:
 
 def test_batcher_requires_canonical_wiring():
     env, fleet, servers, pool = build_wired_pool()
-    assert pool.batcher() is pool
+    assert fleet.pool_agg is pool
     with pytest.raises(TypeError, match="cannot watch"):
         servers[2].add_watcher(_Mute())
     assert servers[2]._watchers == [fleet.rack_aggs[0], pool]
@@ -324,18 +323,17 @@ def test_nonlinear_model_batches_bit_exactly():
     fleet.make_aggregate(servers[:2], kind="rack")
     fleet.make_aggregate(servers[2:], kind="rack")
     pool = fleet.make_aggregate(servers, kind="pool")
-    assert pool.batcher() is pool
     env2 = Environment()
     twins = [Server(env2, f"t{i}", power_model=ServerPowerModel(
         nonlinearity=1.4)) for i in range(4)]
     for s, t in zip(servers[:3], twins[:3]):
         s.power_on(), t.power_on()
     env.run(until=121.0), env2.run(until=121.0)
-    pool.batcher().dispatch_loads(_EqualSplit(), 170.0)
+    pool.dispatch_loads(_EqualSplit(), 170.0)
     for t, share in zip(twins[:3], _EqualSplit().split(
             170.0, twins[:3])):
         t.set_offered_load(share)
-    pool.batcher().batch_set_pstate(2)
+    pool.batch_set_pstate(2)
     for t in twins[:3]:
         t.set_pstate(2)
     for s, t in zip(servers, twins):
@@ -407,9 +405,7 @@ def test_batch_set_pstate_matches_scalar():
     env.run(until=121.0), env2.run(until=121.0)
     for i, (s, t) in enumerate(zip(servers[:4], twins[:4])):
         s.set_offered_load(12.5 * i), t.set_offered_load(12.5 * i)
-    batch = pool.batcher()
-    assert batch is pool
-    batch.batch_set_pstate(2)
+    pool.batch_set_pstate(2)
     for t in twins[:4]:
         if t.state is ServerState.ACTIVE:
             t.set_pstate(2)
@@ -418,7 +414,7 @@ def test_batch_set_pstate_matches_scalar():
         assert s.pstate == t.pstate
         assert s.effective_capacity == t.effective_capacity
     with pytest.raises(ValueError, match="out of range"):
-        batch.batch_set_pstate(99)
+        pool.batch_set_pstate(99)
 
 
 def test_dispatch_loads_matches_scalar_split():
@@ -431,7 +427,7 @@ def test_dispatch_loads_matches_scalar_split():
         s.power_on(), t.power_on()
     env.run(until=121.0), env2.run(until=121.0)
     policy = WeightedSplit()
-    served = pool.batcher().dispatch_loads(policy, 260.0)
+    served = pool.dispatch_loads(policy, 260.0)
     shares = policy.split(260.0, [t for t in twins
                                   if t.state is ServerState.ACTIVE])
     expected = 0.0
@@ -612,7 +608,7 @@ def test_random_sequences_keep_plants_identical():
 
 
 def test_total_energy_identical_despite_lazy_meters():
-    """∫P dt matches per server even though meters flush lazily.
+    """∫P dt matches per server, to rounding, though meters flush lazily.
 
     Batch dispatch skips servers whose load is unchanged, so their
     EnergyMeter segments stay open across many ticks; the plain
@@ -635,7 +631,7 @@ def test_total_energy_identical_despite_lazy_meters():
             for srv in (servers[5], twins[5]):
                 srv.set_offered_load(0.0)
                 srv.sleep()
-        pool.batcher().fused_dispatch(policy, load)
+        pool.fused_dispatch(policy, load)
         active = [t for t in twins if t.state is ServerState.ACTIVE]
         for t in twins:
             if t.state is not ServerState.ACTIVE and t.offered_load:
@@ -695,7 +691,7 @@ def test_batch_gate_open_after_run(name):
         kwargs["profile"] = getattr(ControlPlaneProfile,
                                     kwargs["profile"])()
     sim = run_cosim(**kwargs)
-    assert sim.farm.fleet.batcher() is sim.farm.fleet
+    assert type(sim.farm.fleet) is VectorAggregate
     if kwargs.get("capped"):
         # The capper's demand query runs on the fleet columns.
         assert sim.manager.capper._vector_fleet() is sim.farm.fleet._fleet
