@@ -15,7 +15,7 @@ a bounded, temporary throughput loss — not an outage.
 import pytest
 from conftest import record
 
-from repro.cluster import Server
+from repro.fleet import VectorFleet, VectorServer
 from repro.power import PowerCapper, SurgeViolation, UPSUnit
 from repro.sim import Environment
 
@@ -29,8 +29,10 @@ BUDGET_W = 3_600.0
 
 def build(capped: bool):
     env = Environment()
-    servers = [Server(env, f"s{i}", capacity=100.0, boot_s=10.0)
-               for i in range(N_SERVERS)]
+    fleet = VectorFleet(env, N_SERVERS)
+    servers = [VectorServer(fleet, env, f"s{i}", capacity=100.0,
+                            boot_s=10.0) for i in range(N_SERVERS)]
+    fleet.make_aggregate(servers, "rack")
     for server in servers:
         server.power_on()
     env.run(until=11.0)

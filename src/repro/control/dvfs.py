@@ -31,7 +31,8 @@ class UtilizationDVFS:
 
     Every ``period_s``: utilization below ``low`` → one state deeper
     (slower); above ``high`` → one state shallower (faster).  Applied
-    fleet-wide, as OS governors of the era did per machine.
+    fleet-wide, as OS governors of the era did per machine, in one
+    batch P-state command over the active rows.
     """
 
     def __init__(self, farm: ServerFarm, period_s: float = 60.0,
@@ -48,18 +49,18 @@ class UtilizationDVFS:
 
     def decide(self) -> int:
         """One decision; returns the commanded fleet P-state."""
-        active = self.farm.active_servers()
-        if not active:
+        pool = self.farm.fleet
+        if not pool.active_count:
             return 0
         utilization = self.farm.mean_utilization()
-        deepest = len(active[0].model.pstates) - 1
-        current = max(s.pstate for s in active)
+        plant = pool.plant
+        deepest = plant.n_pstates - 1
+        current = int(plant.pstate[pool.active_indices()].max())
         if utilization < self.low and current < deepest:
             current += 1
         elif utilization > self.high and current > 0:
             current -= 1
-        for server in active:
-            server.set_pstate(current)
+        pool.batch_set_pstate(current)
         self.pstate_monitor.record(current)
         return current
 
@@ -97,17 +98,16 @@ class ResponseTimeDVFS:
         self.pstate_monitor = Monitor(farm.env, "rt_dvfs.pstate")
 
     def decide(self) -> int:
-        active = self.farm.active_servers()
-        if not active:
+        pool = self.farm.fleet
+        if not pool.active_count:
             return 0
         measured = self.farm.mean_response_time_s()
         correction = self.pid.update(measured / self.target_response_s,
                                      dt=self.period_s)
         self._speed = min(max(self._speed - 0.2 * correction, 0.3), 1.0)
-        table: PStateTable = active[0].model.pstates
+        table: PStateTable = self.farm.servers[0].model.pstates
         pstate = table.slowest_state_meeting(self._speed)
-        for server in active:
-            server.set_pstate(pstate)
+        pool.batch_set_pstate(pstate)
         self.pstate_monitor.record(pstate)
         return pstate
 

@@ -17,7 +17,7 @@ Both prefer waking SLEEPING machines over booting OFF ones and drain
 via the load balancer implicitly (the farm re-dispatches next tick).
 Every actuation takes one of two paths: the attached control plane's
 per-command path, or — with no plane — the vector fleet's transition
-kernel (``start_many``/``stop_many``), one call per decision, traced
+kernels (``start_many``/``park_many``), one call per decision, traced
 as ``via="controlplane"`` and ``via="fleet"`` respectively.
 """
 

@@ -34,6 +34,9 @@ from repro.sim import RandomStreams
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.datacenter.spec import DataCenter
 
+#: What a tripped rack branch fails: every row not already FAILED.
+_UNFAILED = (ServerState.OFF,) + POWERED_STATES
+
 __all__ = [
     "FaultKind",
     "Incident",
@@ -286,8 +289,7 @@ class FaultDomainEngine:
 
     def status(self) -> FacilityStatus:
         """Snapshot of facility health for the diagnosis loop."""
-        failed = sum(1 for s in self.dc.servers
-                     if s.state is ServerState.FAILED)
+        failed = self.dc.cluster.count_in(ServerState.FAILED)
         return FacilityStatus(
             time_s=self.env.now,
             active_incidents=self.active_incidents(),
@@ -317,11 +319,22 @@ class FaultDomainEngine:
         self.dc.room.on_alarm(self._protective_trip)
 
     def _protective_trip(self, alarm: ThermalAlarm) -> None:
-        victims = [s for s in self.dc.servers
-                   if s.zone == alarm.zone and s.state in POWERED_STATES]
-        for server in victims:
-            server.fail()
-        self.protective_trips.append((alarm.time_s, alarm.zone, len(victims)))
+        victims = self._park(POWERED_STATES, ServerState.FAILED,
+                             zone=alarm.zone)
+        self.protective_trips.append((alarm.time_s, alarm.zone, victims))
+
+    def _park(self, states, target: ServerState, zone: str | None = None,
+              rack=None) -> int:
+        """Move every server in ``states`` — in ``zone`` or on
+        ``rack``, when given — to ``target`` in one fleet call;
+        returns how many moved."""
+        plant = self.dc.cluster.plant
+        lo, hi = ((rack.aggregate._lo, rack.aggregate._hi)
+                  if rack is not None else (0, None))
+        rows = plant.rows_in(states, zone, lo, hi)
+        if rows.size:
+            plant.park_many(rows, target)
+        return int(rows.size)
 
     # ------------------------------------------------------------------
     # Injection
@@ -384,9 +397,7 @@ class FaultDomainEngine:
         if incident.kind is FaultKind.RACK_BRANCH:
             rack = self._racks[incident.target]
             self.dc.rack_nodes[rack.name].restore()
-            for server in rack.servers:
-                if server.state is ServerState.FAILED:
-                    server.repair()
+            self._park((ServerState.FAILED,), ServerState.OFF, rack=rack)
         elif incident.kind is FaultKind.UPS_DERATE:
             self.dc.ups.restore_rating()
         elif incident.kind is FaultKind.UTILITY_OUTAGE:
@@ -403,11 +414,7 @@ class FaultDomainEngine:
         if rack is None:
             raise KeyError(f"no rack named {incident.target!r}")
         self.dc.rack_nodes[rack.name].trip()
-        victims = 0
-        for server in rack.servers:
-            if server.state is not ServerState.FAILED:
-                server.fail()
-                victims += 1
+        victims = self._park(_UNFAILED, ServerState.FAILED, rack=rack)
         record.detail = f"branch open, {victims} servers down"
 
     # -- utility outage ------------------------------------------------
@@ -441,6 +448,4 @@ class FaultDomainEngine:
         """Battery exhausted before the generator came up: lights out."""
         self.blackouts.append(self.env.now)
         record.detail = "BLACKOUT: battery exhausted before generator"
-        for server in self.dc.servers:
-            if server.state in POWERED_STATES:
-                server.fail()
+        self._park(POWERED_STATES, ServerState.FAILED)

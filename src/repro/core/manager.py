@@ -243,13 +243,12 @@ class MacroResourceManager:
 
     def _handle_thermal_alarm(self, alarm: ThermalAlarm) -> None:
         """§2.2 protective behaviour: servers in a hot zone trip off."""
-        victims = [s for s in self.farm.servers
-                   if s.zone == alarm.zone
-                   and s.state is ServerState.ACTIVE]
-        for server in victims:
-            server.fail()
+        plant = self.farm.fleet.plant
+        victims = plant.rows_in((ServerState.ACTIVE,), alarm.zone)
+        if victims.size:
+            plant.park_many(victims, ServerState.FAILED)
         self.thermal_shutdowns.append(
-            (alarm.time_s, alarm.zone, len(victims)))
+            (alarm.time_s, alarm.zone, int(victims.size)))
 
     # ------------------------------------------------------------------
     # Degraded operations (detect → degrade → recover, with hysteresis)
@@ -281,7 +280,26 @@ class MacroResourceManager:
         than FAILED.
         """
         cp = self.control_plane
-        if cp is None or cp.perfect:
+        if cp is None:
+            plant = self.farm.fleet.plant
+            rows = plant.rows_in((ServerState.ACTIVE,), zone)
+            if rows.size:
+                plant.park_many(rows, ServerState.OFF)
+            drained = int(rows.size)
+        else:
+            drained = self._drain_zone_via_plane(cp, zone)
+        if drained:
+            self.drains.append((self.env.now, zone, drained))
+            if self.tracer is not None:
+                self.tracer.event("macro.drain_zone", "actuation",
+                                  zone=zone, servers=drained)
+        return drained
+
+    def _drain_zone_via_plane(self, cp, zone: str) -> int:
+        """The control plane's per-command zone drain: one SHUT_DOWN
+        per server found ACTIVE (believed ACTIVE on an impaired
+        plane), in pool order."""
+        if cp.perfect:
             victims = [s for s in self.farm.servers
                        if s.zone == zone
                        and s.state is ServerState.ACTIVE]
@@ -290,16 +308,7 @@ class MacroResourceManager:
                        if s.zone == zone
                        and cp.believed_state(s) is ServerState.ACTIVE]
         for server in victims:
-            if cp is not None:
-                cp.shut_down(server)
-            else:
-                server.set_offered_load(0.0)
-                server.shut_down()
-        if victims:
-            self.drains.append((self.env.now, zone, len(victims)))
-            if self.tracer is not None:
-                self.tracer.event("macro.drain_zone", "actuation",
-                                  zone=zone, servers=len(victims))
+            cp.shut_down(server)
         return len(victims)
 
     def _transition(self, to_mode: str, reason: str) -> None:
@@ -375,6 +384,16 @@ class MacroResourceManager:
         elif now - self._clear_since >= policy.recovery_hold_s:
             self._exit_degraded("facility healthy")
         return n_incidents, drained
+
+    def _set_pstate_via_plane(self, cp, index: int) -> int:
+        """The control plane's per-command P-state move: one SET_PSTATE
+        per server found (believed, on an impaired plane) ACTIVE;
+        returns how many were commanded."""
+        active = (self.farm.active_servers() if cp.perfect
+                  else cp.believed_active(self.farm))
+        for server in active:
+            cp.set_pstate(server, index)
+        return len(active)
 
     def degraded_s(self, start: float | None = None,
                    end: float | None = None) -> float:
@@ -477,24 +496,21 @@ class MacroResourceManager:
         # ``pstate_floor`` deep: slower and cooler stretches battery
         # ride-through and keeps the derated UPS inside its rating.
         if self.mode == "degraded" and self._power_constrained(status):
-            if cp is None or cp.perfect:
-                active = self.farm.active_servers()
-            else:
-                active = cp.believed_active(self.farm)
-            if active:
-                floor = min(self.degraded_policy.pstate_floor,
-                            len(active[0].model.pstates) - 1)
-                if pstate < floor:
+            pool = self.farm.fleet
+            floor = min(self.degraded_policy.pstate_floor,
+                        pool.plant.n_pstates - 1)
+            if pstate < floor:
+                if cp is None:
+                    servers = pool.active_count
+                    if servers:
+                        pool.batch_set_pstate(floor)
+                else:
+                    servers = self._set_pstate_via_plane(cp, floor)
+                if servers:
                     pstate = floor
-                    for server in active:
-                        if cp is not None:
-                            cp.set_pstate(server, floor)
-                        else:
-                            server.set_pstate(floor)
                     if self.tracer is not None:
                         self.tracer.event("dvfs.floor", "actuation",
-                                          index=floor,
-                                          servers=len(active))
+                                          index=floor, servers=servers)
 
         thermal_safe = True
         if self.placer is not None and self.heat_by_zone_fn is not None:

@@ -170,9 +170,10 @@ class SiteRuntime:
         engine = self.sim.fault_engine
         if engine is None or engine.active_incidents():
             return
-        for server in self.sim.dc.servers:
-            if server.state is ServerState.FAILED:
-                server.repair()
+        plant = self.sim.dc.cluster.plant
+        rows = plant.rows_in((ServerState.FAILED,))
+        if rows.size:
+            plant.park_many(rows, ServerState.OFF)
 
     def finish(self) -> tuple[CoSimResult, float, float]:
         """The site result plus its offered/shed integrals."""

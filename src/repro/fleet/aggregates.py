@@ -35,6 +35,7 @@ import typing
 import numpy as np
 
 from repro.cluster.aggregates import FleetAggregate
+from repro.cluster.server import ServerState
 from repro.fleet.plant import C_ACTIVE, VectorFleet, quanta_array, run_rows
 
 __all__ = ["VectorAggregate", "VectorRackAggregate"]
@@ -58,6 +59,11 @@ class VectorAggregate(FleetAggregate):
         # the fleet's pool as their second watcher.
         fleet.pool_agg = self
         super().__init__(servers)
+
+    @property
+    def plant(self) -> VectorFleet:
+        """The fleet whose rows this pool covers."""
+        return self._fleet
 
     # ------------------------------------------------------------------
     # Scalar watcher protocol (roster cache gains an index twin)
@@ -124,7 +130,8 @@ class VectorAggregate(FleetAggregate):
         if victims <= 0:
             return idx[:0]
         rows = idx[idx.size - victims:][::-1].copy()
-        self._fleet.stop_many(rows, to_sleep)
+        self._fleet.park_many(rows, ServerState.SLEEPING if to_sleep
+                              else ServerState.OFF)
         return rows
 
     def zero_inactive(self) -> None:

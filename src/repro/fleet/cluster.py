@@ -56,7 +56,8 @@ class VectorCluster(Cluster):
                 raise ValueError(f"rack {rack.name} has no zone")
             zone_ids.append(zone_index.setdefault(rack.zone,
                                                   len(zone_index)))
-        self._fleet = fleet
+        #: The fleet whose rack columns answer the queries.
+        self.plant = fleet
         self._slots = np.asarray([r.aggregate._slot for r in self.racks])
         self._zone_ids = np.asarray(zone_ids)
         self._zone_names = list(zone_index)
@@ -65,12 +66,12 @@ class VectorCluster(Cluster):
             for r in self.racks])
 
     def power_w(self) -> float:
-        return int(self._fleet.rack_q[self._slots].sum()) * QUANTUM_W
+        return int(self.plant.rack_q[self._slots].sum()) * QUANTUM_W
 
     def rack_powers_array(self) -> np.ndarray:
         """Rack draws as one float column, in rack order: element ``i``
         is exactly ``self.racks[i].power_w()``."""
-        return self._fleet.rack_q[self._slots] * QUANTUM_W
+        return self.plant.rack_q[self._slots] * QUANTUM_W
 
     def heat_by_zone(self) -> dict[str, float]:
         names = self._zone_names
@@ -80,14 +81,14 @@ class VectorCluster(Cluster):
         return {name: float(sums[i]) for i, name in enumerate(names)}
 
     def count_in(self, state: ServerState) -> int:
-        fleet = self._fleet
+        fleet = self.plant
         if state is ServerState.ACTIVE:
             return int(fleet.rack_active[self._slots].sum())
         code = _STATE_TO_CODE[state]
         return int(np.count_nonzero(fleet.state_code[self._rows] == code))
 
     def total_effective_capacity(self) -> float:
-        fleet = self._fleet
+        fleet = self.plant
         rows = self._rows
         active = rows[fleet.state_code[rows] == C_ACTIVE]
         if active.size == 0:

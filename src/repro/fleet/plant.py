@@ -45,13 +45,13 @@ never at run time:
 
 So every batch kernel can fold into exactly one rack and one pool —
 including the transition kernel, :meth:`VectorFleet.start_many` (boot
-and wake) and :meth:`VectorFleet.stop_many` (drain, then sleep or shut
-down), which the On/Off controllers and plant bring-up call instead of
-walking servers one by one.  A linear model takes one fused pass; a
-non-linear one evaluates its shape with element-wise ``math.pow``
-(libm) rather than ``np.power``, because Python's ``u ** r`` and
-``np.power`` differ by 1 ulp on some inputs — the element-wise path is
-bit-identical to the scalar model.
+and wake) and :meth:`VectorFleet.park_many` (sleep, shut down, fail or
+repair), which the On/Off controllers, the macro manager, the fault
+engine and plant bring-up call instead of walking servers one by one.
+A linear model takes one fused pass; a non-linear one evaluates its
+shape with element-wise ``math.pow`` (libm) rather than ``np.power``,
+because Python's ``u ** r`` and ``np.power`` differ by 1 ulp on some
+inputs — the element-wise path is bit-identical to the scalar model.
 """
 
 from __future__ import annotations
@@ -76,6 +76,16 @@ C_BOOTING = _STATE_TO_CODE[ServerState.BOOTING]
 C_ACTIVE = _STATE_TO_CODE[ServerState.ACTIVE]
 C_SLEEPING = _STATE_TO_CODE[ServerState.SLEEPING]
 C_WAKING = _STATE_TO_CODE[ServerState.WAKING]
+C_FAILED = _STATE_TO_CODE[ServerState.FAILED]
+
+#: ``park_many``'s resting states, each with the source states the
+#: scalar call (``sleep``, ``shut_down`` / ``repair``, ``fail``)
+#: accepts.
+_PARK_SOURCES: dict[int, tuple[int, ...]] = {
+    C_SLEEPING: (C_ACTIVE,),
+    C_OFF: (C_ACTIVE, C_SLEEPING, C_FAILED),
+    C_FAILED: tuple(range(len(_STATES))),
+}
 
 
 def run_rows(idx: np.ndarray):
@@ -638,37 +648,73 @@ class VectorFleet:
             timers.extend(self._start_run(run))
         return timers
 
-    def stop_many(self, rows, to_sleep: bool) -> None:
-        """Drain ACTIVE rows, then sleep or shut them down, in bulk.
+    def park_many(self, rows, state: ServerState) -> None:
+        """Move rows into the resting ``state``, in bulk.
 
-        ``rows`` is the victim order, strictly descending: the
-        controllers take the highest ACTIVE rows, back to front.
-        Replays ``set_offered_load(0.0)`` then ``sleep()`` (or
-        ``shut_down()``) per row in that order.  The drained power is
-        held for zero seconds, so neither the meters nor the integer
-        ledger (which needs only each row's net change) can tell it
-        was there, and it is never evaluated.  Rows that are not this
-        fleet's, racked and ACTIVE, or not descending, raise
-        ``ValueError`` before anything changes.
+        ``rows`` is the victim order, strictly descending, as
+        :meth:`rows_in` returns them.  Replays the scalar call per row
+        in that order:
+
+        ========  ==================  ==============================
+        state     from                scalar call
+        ========  ==================  ==============================
+        SLEEPING  ACTIVE              ``set_offered_load(0.0)``, then
+                                      ``sleep()``
+        OFF       ACTIVE, SLEEPING    ``shut_down()``
+        OFF       FAILED              ``repair()``
+        FAILED    any                 ``fail()``
+        ========  ==================  ==============================
+
+        A drained row's intermediate power is held for zero seconds,
+        so neither the meters nor the integer ledger can tell it was
+        there, and it is never evaluated.  A row in transition keeps
+        its timer, which completes only a row still in its interim
+        state.  Rows that are not this fleet's, racked, in a source
+        state and strictly descending raise ``ValueError`` before
+        anything changes.
         """
-        rows = self._check_rows(rows, "stop_many")
+        final = _STATE_TO_CODE[state]
+        sources = _PARK_SOURCES.get(final)
+        if sources is None:
+            raise ValueError(f"park_many parks rows sleeping, off or "
+                             f"failed, not {state.value}")
+        rows = self._check_rows(rows, "park_many")
         if (np.diff(rows) >= 0).any():
-            raise ValueError("stop_many rows are strictly descending")
-        if not (self.state_code[rows] == C_ACTIVE).all():
-            raise ValueError("stop_many stops ACTIVE rows only")
-        final = C_SLEEPING if to_sleep else C_OFF
+            raise ValueError("park_many rows are strictly descending")
+        code = self.state_code[rows]
+        if not np.isin(code, sources).all():
+            raise ValueError(
+                f"park_many parks {state.value} rows from "
+                f"{', '.join(_STATES[c].value for c in sources)} only")
         now = self.env.now
         oldp = self._flush(rows, now)
         self.offered[rows] = 0.0
-        entry = (now, _STATES[final])
+        entry = (now, state)
         for s in self.gather(rows):
             s.state_log.append(entry)
         self.state_code[rows] = final
-        self._note_states(rows, -1)
+        self._note_states(rows, -(code == C_ACTIVE).astype(np.int64))
         self.eff_cap[rows] = 0.0
-        newp = (self.sleep_w if to_sleep else self.off_w)[rows]
+        newp = (self.sleep_w if final == C_SLEEPING else self.off_w)[rows]
         self.power[rows] = newp
         self._fold_power(rows, oldp, newp)
+
+    def rows_in(self, states, zone: str | None = None, lo: int = 0,
+                hi: int | None = None) -> np.ndarray:
+        """Rows of ``lo:hi`` in one of ``states`` (and in ``zone``,
+        when one is named), strictly descending — the order
+        :meth:`park_many` takes.
+
+        ``hi`` defaults to the claimed rows: an unclaimed row's code
+        reads as OFF.  A zone no row was built in matches nothing.
+        """
+        hi = self.n_claimed if hi is None else hi
+        mask = np.isin(self.state_code[lo:hi],
+                       [_STATE_TO_CODE[s] for s in states])
+        if zone is not None:
+            # -2 is no row's zone id (-1 is "no zone").
+            mask &= self.zone_id[lo:hi] == self._zone_ids.get(zone, -2)
+        return np.flatnonzero(mask)[::-1] + lo
 
     def _check_rows(self, rows, what: str) -> np.ndarray:
         rows = np.array(rows, dtype=np.int64, ndmin=1)
@@ -688,21 +734,22 @@ class VectorFleet:
         self.t_last[rows] = now
         return oldp
 
-    def _note_states(self, rows: np.ndarray, dactive: int) -> None:
+    def _note_states(self, rows: np.ndarray, dactive) -> None:
         """The watchers' side of ``_set_state`` for a batch of rows:
         drop the rack and pool rosters and move each active count by
-        ``dactive`` per row."""
+        ``dactive`` per row (one int for all, or an int per row)."""
         self.mutation_epoch += 1
         slots = self.rack_slot[rows]
         for slot in np.unique(slots).tolist():
             self.rack_aggs[slot]._active_cache = None
-        if dactive:
+        dactive = np.broadcast_to(dactive, rows.shape)
+        if dactive.any():
             np.add.at(self.rack_active, slots, dactive)
         pool = self.pool_agg
         if pool is not None:
             pool._active_cache = None
             pool._active_idx = None
-            pool._active_count += dactive * rows.size
+            pool._active_count += int(dactive.sum())
 
     def _start_run(self, run: np.ndarray) -> list:
         """OFF→BOOTING or SLEEPING→WAKING for an ascending run of rows

@@ -1,8 +1,9 @@
-"""The vector fleet's transition kernel and run-shaped dispatch folds.
+"""The vector fleet's transition kernels and run-shaped dispatch folds.
 
-``VectorFleet.start_many`` / ``stop_many`` replace per-server
-``power_on()`` / ``wake()`` / drain + ``sleep()`` / ``shut_down()``
-walks, and a contiguous active set dispatches through slices.  Each is
+``VectorFleet.start_many`` / ``park_many`` replace per-server
+``power_on()`` / ``wake()`` / drain + ``sleep()`` / ``shut_down()`` /
+``fail()`` / ``repair()`` walks, ``rows_in`` selects their rows, and a
+contiguous active set dispatches through slices.  Each is
 pinned against a twin plant that takes the scalar path, down to the
 rack and pool power ledgers (integer quanta, equal bit for bit).  The
 stale-timer guard is pinned on ``Server``, ``VectorServer`` and the
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.loadbalancer import EvenSplit, WeightedSplit
-from repro.cluster.server import Server, ServerState
+from repro.cluster.server import POWERED_STATES, Server, ServerState
 from repro.fleet import VectorFleet, VectorServer
 from repro.fleet.plant import C_ACTIVE, C_OFF, C_SLEEPING, run_rows
 from repro.sim import Environment
@@ -57,6 +58,19 @@ class Plant:
             else:
                 s.shut_down()
 
+    def park_scalar(self, rows, state):
+        for i in rows:
+            s = self.servers[i]
+            if state is ServerState.FAILED:
+                s.fail()
+            elif state is ServerState.SLEEPING:
+                s.set_offered_load(0.0)
+                s.sleep()
+            elif s.state is ServerState.FAILED:
+                s.repair()
+            else:
+                s.shut_down()
+
 
 def assert_twins(a: Plant, b: Plant):
     fa, fb = a.fleet, b.fleet
@@ -94,7 +108,7 @@ def twins_all_active(rng, n=24, width=4):
 
 
 # ----------------------------------------------------------------------
-# stop_many: drain + sleep / shut down, back to front
+# stop_tail: park_many drains + sleeps / shuts down, back to front
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("case", range(40))
 def test_stop_many_matches_scalar_drain_and_stop(case):
@@ -124,6 +138,152 @@ def test_stop_tail_keeps_one_server():
     b.stop_scalar(range(7, 0, -1), True)
     assert_twins(a, b)
     assert a.pool.stop_tail(1, True).size == 0
+
+
+# ----------------------------------------------------------------------
+# park_many: every resting transition, against per-row scalar calls
+# ----------------------------------------------------------------------
+ACTIVE, OFF, FAILED = ServerState.ACTIVE, ServerState.OFF, ServerState.FAILED
+SLEEPING = ServerState.SLEEPING
+
+#: (source states, target) for every pair the scalar calls accept,
+#: then the two mixed batches the fault engine and the repair sweep
+#: make.
+PARKS = ([((ACTIVE,), SLEEPING), ((ACTIVE,), OFF), ((SLEEPING,), OFF),
+          ((FAILED,), OFF)]
+         + [((source,), FAILED) for source in ServerState]
+         + [((ACTIVE, SLEEPING, FAILED), OFF),
+            (tuple(ServerState), FAILED)])
+
+
+def twins_in_every_state(rng):
+    """Twin plants at t=265 s with rows in all six states, every meter
+    mid-segment: 23, 19 WAKING; 22, 18 BOOTING; 15, 11 SLEEPING;
+    14, 10 OFF; 21, 17, 3 FAILED; the rest ACTIVE."""
+    a, b = twins_all_active(rng)
+    for p in (a, b):
+        p.run(200.0)
+        p.stop_scalar([23, 19, 15, 11], True)
+        p.stop_scalar([22, 18, 14, 10], False)
+        for i in (21, 17, 3):
+            p.servers[i].fail()
+        p.run(260.0)
+        for i in (23, 19):
+            p.servers[i].wake()
+        for i in (22, 18):
+            p.servers[i].power_on()
+        p.run(265.0)
+    return a, b
+
+
+@pytest.mark.parametrize(
+    "sources, state", PARKS,
+    ids=["+".join(s.value for s in src) + "->" + dst.value
+         for src, dst in PARKS])
+def test_park_many_matches_scalar_calls(sources, state):
+    a, b = twins_in_every_state(np.random.default_rng(21))
+    rows = a.fleet.rows_in(sources)
+    assert rows.size
+    a.fleet.park_many(rows, state)
+    b.park_scalar(rows.tolist(), state)
+    assert_twins(a, b)
+    # Past every timer started before the park: none finishes a row
+    # that left its interim state.
+    for until in (281.0, 400.0, 900.0):
+        a.run(until), b.run(until)
+        assert_twins(a, b)
+    assert a.pool.recompute_exact() == b.pool.recompute_exact() == 0.0
+    assert ([s.energy_j() for s in a.servers]
+            == [s.energy_j() for s in b.servers])
+
+
+def test_failed_repaired_restarted_row_outlives_its_old_timer():
+    """A WAKING and a BOOTING row failed, repaired and powered on
+    belong to their new boot: the shared timers they started under
+    finish their neighbours and leave them."""
+    a, b = twins_with_sleepers(np.random.default_rng(22))   # t=121 s
+    rows = [14, 15, 16, 11, 12, 13]       # wake 14..16, boot 11..13
+    a.fleet.start_many(rows)
+    b.start_scalar(rows)
+    a.run(126.0), b.run(126.0)
+    a.fleet.park_many([15, 12], FAILED)
+    a.fleet.park_many([15, 12], OFF)
+    a.fleet.start_many([12, 15])
+    b.park_scalar([15, 12], FAILED)
+    b.park_scalar([15, 12], OFF)
+    b.start_scalar([12, 15])
+    assert_twins(a, b)
+    booting = ServerState.BOOTING
+    for until, expected in ((137.0, {14: ACTIVE, 15: booting}),
+                            (242.0, {11: ACTIVE, 12: booting,
+                                     15: booting}),
+                            (247.0, {12: ACTIVE, 15: ACTIVE})):
+        a.run(until), b.run(until)
+        assert_twins(a, b)
+        assert {i: a.servers[i].state for i in expected} == expected
+    assert a.servers[15]._transition is None
+
+
+def _plant_state(fleet, servers):
+    return ([getattr(fleet, col).tolist() for col in
+             ("state_code", "power", "offered", "eff_cap", "energy_j",
+              "t_last", "rack_q", "rack_active")]
+            + [fleet.pool_agg._q, fleet.pool_agg._active_count,
+               fleet.mutation_epoch, [len(s.state_log) for s in servers]])
+
+
+@pytest.mark.parametrize("state", [SLEEPING, OFF, FAILED])
+def test_park_many_refuses_before_any_change(state):
+    a, _ = twins_in_every_state(np.random.default_rng(23))
+    fleet = a.fleet
+    before = _plant_state(fleet, a.servers)
+    sources = [s for src, dst in PARKS[:-2] if dst is state for s in src]
+    first = int(fleet.rows_in(sources)[0])
+    for refused in ServerState:
+        if refused not in sources:
+            other = int(fleet.rows_in((refused,))[0])
+            with pytest.raises(ValueError):
+                fleet.park_many(sorted([first, other], reverse=True),
+                                state)
+    pair = fleet.rows_in(sources)[:2].tolist()
+    with pytest.raises(ValueError):
+        fleet.park_many(pair[::-1], state)          # ascending
+    with pytest.raises(ValueError):
+        fleet.park_many([first, first], state)      # a row twice
+    with pytest.raises(ValueError):
+        fleet.park_many([], state)
+    with pytest.raises(ValueError):
+        fleet.park_many([24], state)                # not this fleet's
+    for unresting in (ACTIVE, ServerState.BOOTING, ServerState.WAKING):
+        with pytest.raises(ValueError):
+            fleet.park_many([first], unresting)
+    assert _plant_state(fleet, a.servers) == before
+
+
+def test_rows_in_matches_a_python_filter():
+    a, _ = twins_in_every_state(np.random.default_rng(25))
+    for i, s in enumerate(a.servers):
+        s.zone = f"z{i // 4 % 3}"           # one zone per rack
+    for states in ((ACTIVE,), (FAILED,), POWERED_STATES,
+                   tuple(ServerState)):
+        for zone in (None, "z0", "z2", "no-such-zone"):
+            for lo, hi in ((0, None), (4, 12), (20, 24)):
+                top = 24 if hi is None else hi
+                expected = [i for i in range(top - 1, lo - 1, -1)
+                            if a.servers[i].state in states
+                            and zone in (None, a.servers[i].zone)]
+                assert (a.fleet.rows_in(states, zone, lo, hi).tolist()
+                        == expected)
+    assert a.fleet.rows_in(tuple(ServerState), "no-such-zone").size == 0
+
+
+def test_rows_in_skips_unclaimed_rows():
+    env = Environment()
+    fleet = VectorFleet(env, 10)
+    for i in range(6):
+        VectorServer(fleet, env, f"s{i}")
+    assert fleet.state_code[6:].tolist() == [C_OFF] * 4   # reads as OFF
+    assert fleet.rows_in((OFF,)).tolist() == [5, 4, 3, 2, 1, 0]
 
 
 # ----------------------------------------------------------------------

@@ -302,12 +302,12 @@ def test_start_many_refuses_bad_batches():
         fleet.start_many([0, 1, 2, 3])          # a transition in flight
     assert fleet.state_code.tolist() == [1, 0, 0, 0]
     with pytest.raises(ValueError):
-        fleet.stop_many([1], to_sleep=True)     # not ACTIVE
+        fleet.park_many([1], ServerState.SLEEPING)  # not ACTIVE
     env.run(until=121.0)
     fleet.start_many([1, 2])
     env.run(until=242.0)
     with pytest.raises(ValueError):
-        fleet.stop_many([0, 1], to_sleep=True)  # not back to front
+        fleet.park_many([0, 1], ServerState.SLEEPING)  # not descending
     assert fleet.state_code.tolist() == [2, 2, 2, 0]
 
 
