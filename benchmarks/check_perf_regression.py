@@ -3,13 +3,20 @@
 
 Usage::
 
-    BENCH_PERF_PATH=/tmp/fresh.json PYTHONPATH=src \
-        python -m pytest benchmarks/test_perf_substrate.py -q
-    python benchmarks/check_perf_regression.py --current /tmp/fresh.json
+    for i in 1 2 3; do
+        BENCH_PERF_PATH=/tmp/fresh$i.json PYTHONPATH=src \
+            python -m pytest benchmarks/test_perf_substrate.py -q
+    done
+    python benchmarks/check_perf_regression.py \
+        --current /tmp/fresh1.json /tmp/fresh2.json /tmp/fresh3.json
 
 Compares every ``PERF:``-prefixed row in the freshly generated results
 against the committed baseline and exits non-zero when any row's mean
-wall time regressed past its gate.  Thresholds are per row: the
+wall time regressed past its gate.  ``--current`` takes one or more
+result files, one per run of the benchmark, and gates each row's best
+(lowest) ``mean_s`` across them — the committed baseline is itself a
+best of 3, so both sides of the ratio are minima over repeats rather
+than one noisy run against a quiet one.  Thresholds are per row: the
 baseline's ``"PERF gate thresholds"`` entry (a mean_s-less row, so it
 is never itself gated) maps row names to allowed fractional slowdowns
 — tight on stable pure-compute rows, loose on sub-100 ms rows whose
@@ -27,15 +34,16 @@ ratio between two hosts measures the hosts as well as the code.
 
 Exit codes: ``0`` all gated rows within threshold, ``1`` at least one
 row regressed, ``2`` a baseline row is missing from the current
-results (the run silently dropped a benchmark — a distinct failure
-from a slowdown; pass ``--allow-missing`` to downgrade it to a
-warning).  Rows present only in *current* are reported but never fail
-the gate — adding a benchmark must not require a baseline edit in the
-same commit to keep CI green.  ``--rows`` restricts the comparison to
-the named rows (the nightly job gates only the 20k-server day);
-``--skip-rows`` excludes named rows from an otherwise-full gate (the
-CI perf-smoke job skips the nightly-only million-server day, whose
-benchmark only runs with ``REPRO_BIG_BENCH=1``).
+results, or from any one of several current runs (the run silently
+dropped a benchmark — a distinct failure from a slowdown; pass
+``--allow-missing`` to downgrade it to a warning).  Rows present only
+in *current* are reported but never fail the gate — adding a benchmark
+must not require a baseline edit in the same commit to keep CI green.
+``--rows`` restricts the comparison to the named rows (the nightly job
+gates only the 20k-server day); ``--skip-rows`` excludes named rows
+from an otherwise-full gate (the CI perf-smoke job skips the
+nightly-only million-server day, whose benchmark only runs with
+``REPRO_BIG_BENCH=1``).
 """
 
 from __future__ import annotations
@@ -61,21 +69,30 @@ def load_rows(path: pathlib.Path) -> dict[str, float]:
     return rows
 
 
-def describe_host(path: pathlib.Path) -> str:
-    """The host record(s) of a results file's PERF rows, as one line.
+def load_best(paths: list[pathlib.Path]) -> dict[str, float]:
+    """``{name: min mean_s}`` over the PERF rows every file recorded."""
+    runs = [load_rows(path) for path in paths]
+    names = set(runs[0]).intersection(*runs[1:])
+    return {name: min(run[name] for run in runs) for name in names}
 
-    Rows are merged into the file by name, so one file can hold rows
+
+def describe_host(*paths: pathlib.Path) -> str:
+    """The host record(s) of results files' PERF rows, as one line.
+
+    Rows are merged into a file by name, so one file can hold rows
     from several hosts; each distinct record is listed once.
     """
     hosts = []
-    for row in json.loads(path.read_text()):
-        host = row.get("host")
-        if row.get("name", "").startswith("PERF") and host:
-            text = (f"{host.get('cpu_count')} CPUs {host.get('machine')}, "
-                    f"Python {host.get('python')}, "
-                    f"numpy {host.get('numpy')}")
-            if text not in hosts:
-                hosts.append(text)
+    for path in paths:
+        for row in json.loads(path.read_text()):
+            host = row.get("host")
+            if row.get("name", "").startswith("PERF") and host:
+                text = (f"{host.get('cpu_count')} CPUs "
+                        f"{host.get('machine')}, "
+                        f"Python {host.get('python')}, "
+                        f"numpy {host.get('numpy')}")
+                if text not in hosts:
+                    hosts.append(text)
     return "; ".join(hosts) if hosts else "unrecorded"
 
 
@@ -104,7 +121,10 @@ def main(argv: list[str] | None = None) -> int:
                         default=ROOT / "BENCH_PERF.json",
                         help="committed reference results")
     parser.add_argument("--current", type=pathlib.Path, required=True,
-                        help="freshly generated results to check")
+                        nargs="+", metavar="PATH",
+                        help="freshly generated results to check, one "
+                             "file per run; each row is gated on its "
+                             "best mean_s across the files")
     parser.add_argument("--threshold", type=float, default=None,
                         help="fallback fractional slowdown for rows "
                              "the baseline's threshold table does not "
@@ -134,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         fallback = table_default if table_default is not None else 0.25
 
     baseline = load_rows(args.baseline)
-    current = load_rows(args.current)
+    current = load_best(args.current)
     if args.rows is not None:
         unknown = sorted(set(args.rows) - set(baseline))
         if unknown:
@@ -149,9 +169,10 @@ def main(argv: list[str] | None = None) -> int:
                     if n not in set(args.skip_rows)}
 
     base_host = describe_host(args.baseline)
-    current_host = describe_host(args.current)
+    current_host = describe_host(*args.current)
     print(f"baseline host: {base_host}")
     print(f"current host:  {current_host}")
+    print(f"current: best of {len(args.current)} run(s)")
 
     failures = []
     missing = []

@@ -6,6 +6,14 @@ the conductance (sensitivity) matrix decides who actually gets cold
 air.  A :class:`MachineRoom` runs as a process on the simulation
 environment, stepping the thermal ODEs on a fine grid while the CRACs
 decide on their own slow 15-minute schedule.
+
+The room owns its zones' state as float columns in zone order —
+``temp_c``, ``heat_load_w``, ``capacitance`` and ``alarm_temp_c`` —
+and every zone handed to it becomes a view on its row.  One step
+advances all zones in one fused update, checks alarms with one
+vector compare, and records each zone's monitor; the room's queries
+read the same columns.  :meth:`ThermalZone.step` on standalone zones
+is the scalar reference the fused update matches bit for bit.
 """
 
 from __future__ import annotations
@@ -57,6 +65,18 @@ class MachineRoom:
         self.env = env
         self.zones = list(zones)
         self.cracs = list(cracs)
+        #: Zone state columns, in zone order; each zone reads its row.
+        #: A column may be replaced whole by a float array of the same
+        #: shape (the facility's physical sync sets ``heat_load_w``).
+        self.temp_c = np.array([z.temp_c for z in self.zones], dtype=float)
+        self.heat_load_w = np.array([z.heat_load_w for z in self.zones],
+                                    dtype=float)
+        self.capacitance = np.array([z.capacitance for z in self.zones],
+                                    dtype=float)
+        self.alarm_temp_c = np.array([z.alarm_temp_c for z in self.zones],
+                                     dtype=float)
+        for row, zone in enumerate(self.zones):
+            zone._attach(self, row)
         self.conductance = matrix
         #: Design-time coupling, kept so failed CRACs can be repaired.
         self._nominal_conductance = matrix.copy()
@@ -64,17 +84,14 @@ class MachineRoom:
         self.step_s = float(step_s)
         self.alarms: list[ThermalAlarm] = []
         self._alarm_callbacks: list[typing.Callable[[ThermalAlarm], None]] = []
-        self._in_alarm: set[str] = set()
+        #: Zones latched in alarm (set on crossing, cleared on recovery).
+        self._latched = np.zeros(len(self.zones), dtype=bool)
         self.zone_monitors = {z.name: Monitor(env, f"zone.{z.name}.temp_c")
                               for z in self.zones}
         self.mechanical_monitor = Monitor(env, "room.mechanical_w")
-        #: Zone heat capacities never change after construction, so the
-        #: fused thermal step gathers them once.
-        self._capacitances = np.array([z.capacitance for z in self.zones])
-        #: Static per-step lookups hoisted out of the fine loop.
+        #: The zone monitors in zone order, for the per-step records.
         self._zone_monitor_list = [self.zone_monitors[z.name]
                                    for z in self.zones]
-        self._alarm_temps = np.array([z.alarm_temp_c for z in self.zones])
         #: Per-CRAC conductance column sums; the matrix only changes
         #: through fail/repair, which invalidate this cache.
         self._col_totals: list | None = None
@@ -89,16 +106,8 @@ class MachineRoom:
 
     # ------------------------------------------------------------------
     def zone_temps(self) -> np.ndarray:
-        """Current zone temperatures as one column.
-
-        The per-CRAC queries below all consume this vector; callers
-        looping over CRACs at one instant (``step_once``, the spine's
-        economizer fold) build it once and pass it through instead of
-        re-gathering ``zone.temp_c`` per CRAC — at 10³ zones ×
-        hundreds of CRACs per fine step, that gather dominates the
-        thermal loop.
-        """
-        return np.array([z.temp_c for z in self.zones])
+        """A copy of the current zone temperatures, in zone order."""
+        return self.temp_c.copy()
 
     def return_temp_c(self, crac_index: int,
                       temps: np.ndarray | None = None) -> float:
@@ -106,8 +115,7 @@ class MachineRoom:
 
         Conductance-weighted mix of zone temperatures: the CRAC
         ingests more air from the zones it is strongly coupled to.
-        ``temps`` is an optional pre-gathered :meth:`zone_temps`
-        vector (same values, so the result is bit-identical).
+        ``temps`` defaults to the room's temperature column.
         """
         column = self.conductance[:, crac_index]
         totals = self._col_totals
@@ -119,49 +127,45 @@ class MachineRoom:
                 for j in range(len(self.cracs))]
         total = totals[crac_index]
         if temps is None:
-            temps = self.zone_temps()
+            temps = self.temp_c
         if total <= 0:
             # A disconnected CRAC senses generic room air.
             return float(np.mean(temps))
         return float((column * temps).sum() / total)
 
+    def crac_heat_w(self, temps: np.ndarray | None = None) -> np.ndarray:
+        """Heat each CRAC currently extracts, in unit order.
+
+        Entry ``j`` is ``max(T - supply_j, 0) @ G[:, j]`` over the
+        zones, and 0.0 for a failed unit.  ``temps`` defaults to the
+        room's temperature column.
+        """
+        if temps is None:
+            temps = self.temp_c
+        matrix = self.conductance
+        # One broadcast subtract+clip for all units (element-wise IEEE
+        # ops), then one ``@`` fold per column.
+        supplies = np.array([c.supply_temp_c for c in self.cracs])
+        clipped = np.maximum(temps[:, None] - supplies, 0.0)
+        heat = np.zeros(len(self.cracs))
+        for j in range(len(self.cracs)):
+            if j not in self.failed_cracs:
+                heat[j] = clipped[:, j] @ matrix[:, j]
+        return heat
+
     def heat_removed_w(self, crac_index: int,
                        temps: np.ndarray | None = None) -> float:
         """Heat the CRAC currently extracts from its coupled zones."""
-        if crac_index in self.failed_cracs:
-            return 0.0
-        supply = self.cracs[crac_index].supply_temp_c
-        column = self.conductance[:, crac_index]
-        if temps is None:
-            temps = self.zone_temps()
-        return float(np.maximum(temps - supply, 0.0) @ column)
+        return float(self.crac_heat_w(temps)[crac_index])
 
     def mechanical_power_w(self, temps: np.ndarray | None = None
                            ) -> float:
-        """Total electrical power of the cooling plant right now.
-
-        Inlines :meth:`heat_removed_w` per CRAC (same expressions,
-        same fold order) — this runs for every unit on every fine
-        thermal step, so the extra call layer was measurable.
-        """
-        if temps is None:
-            temps = self.zone_temps()
-        cracs = self.cracs
-        if not cracs:
-            return 0.0
-        failed = self.failed_cracs
-        matrix = self.conductance
-        # One broadcast subtract+clip for all units; column ``j`` holds
-        # exactly ``np.maximum(temps - supply_j, 0.0)`` (element-wise
-        # IEEE ops, no reassociation), and the per-column ``@`` fold is
-        # unchanged, so every per-CRAC heat is bit-identical.
-        supplies = np.array([c.supply_temp_c for c in cracs])
-        clipped = np.maximum(temps[:, None] - supplies, 0.0)
+        """Total electrical power of the chilled-water plant right now."""
+        heat = self.crac_heat_w(temps)
         total = 0.0
-        for j, crac in enumerate(cracs):
-            if j not in failed:
-                heat = float(clipped[:, j] @ matrix[:, j])
-                total += crac.mechanical_power_w(heat)
+        for j, crac in enumerate(self.cracs):
+            if j not in self.failed_cracs:
+                total += crac.mechanical_power_w(float(heat[j]))
         return total
 
     # ------------------------------------------------------------------
@@ -196,16 +200,14 @@ class MachineRoom:
         ``dominance`` of its design conductance — left like this it
         will drift toward thermal alarm under load.
         """
-        impaired = []
-        for i, zone in enumerate(self.zones):
-            total = self._nominal_conductance[i].sum()
-            if total <= 0:
-                continue
-            lost = sum(self._nominal_conductance[i, j]
-                       for j in self.failed_cracs)
-            if lost / total > dominance:
-                impaired.append(zone.name)
-        return impaired
+        nominal = self._nominal_conductance
+        failed = sorted(self.failed_cracs)
+        lost = (np.cumsum(nominal[:, failed], axis=1)[:, -1] if failed
+                else np.zeros(len(nominal)))
+        total = nominal.sum(axis=1)
+        rows = np.flatnonzero(total > 0)
+        rows = rows[lost[rows] / total[rows] > dominance]
+        return [self.zones[i].name for i in rows.tolist()]
 
     # ------------------------------------------------------------------
     def _step_zones(self, dt_s: float) -> np.ndarray:
@@ -217,22 +219,19 @@ class MachineRoom:
         every other operation is element-wise IEEE arithmetic in the
         scalar's evaluation order, and the exponential relaxation uses
         element-wise :func:`math.exp` because vectorized ``np.exp``
-        may differ from libm by one ulp.  The per-zone loop with its
-        O(zones x CRACs) Python generator folds was the hottest part
-        of the thermal spine at scale.
+        may differ from libm by one ulp.  The result becomes the
+        room's temperature column, so a zone view reads an
+        ``np.float64`` after a step.
         """
-        zones = self.zones
         matrix = self.conductance
-        heat = np.array([z.heat_load_w for z in zones])
-        temps = np.array([z.temp_c for z in zones])
-        cap = self._capacitances
+        heat, temps, cap = self.heat_load_w, self.temp_c, self.capacitance
         if matrix.shape[1]:
             supplies = np.array([c.supply_temp_c for c in self.cracs])
             g_total = np.cumsum(matrix, axis=1)[:, -1]
             weighted = np.cumsum(matrix * supplies, axis=1)[:, -1]
         else:
-            g_total = np.zeros(len(zones))
-            weighted = np.zeros(len(zones))
+            g_total = np.zeros(len(temps))
+            weighted = np.zeros(len(temps))
         # Adiabatic default (g_total <= 0): heat accumulates linearly,
         # in the scalar's ``temp + heat * dt / capacitance`` order.
         new = temps + heat * dt_s / cap
@@ -251,9 +250,7 @@ class MachineRoom:
             args = (-dt_s) / tau
             decay = np.array([math.exp(a) for a in args])
             new[idx] = t_eq + (t0 - t_eq) * decay
-        for i, zone in enumerate(zones):
-            # np.float64 scalars, matching what the scalar step stores.
-            zone.temp_c = new[i]
+        self.temp_c = new
         return new
 
     def step_once(self) -> None:
@@ -262,17 +259,18 @@ class MachineRoom:
         # One fused update yields the post-step temperature vector that
         # every CRAC query below consumes.
         temps = self._step_zones(self.step_s)
-        zones = self.zones
         for monitor, value in zip(self._zone_monitor_list, temps):
-            # ``temps[i]`` is the exact value just stored on the zone;
-            # passing ``now`` skips the per-sample env lookup.
+            # Passing ``now`` skips the per-sample env lookup.
             monitor.record(value, now)
-        # ``_check_alarm`` only acts when a zone is at/above its trip
-        # point or currently latched; the vector pre-check skips the
-        # whole per-zone sweep on quiet steps.
-        if self._in_alarm or (temps >= self._alarm_temps).any():
-            for zone in zones:
-                self._check_alarm(zone)
+        hot = temps >= self.alarm_temp_c
+        flips = hot != self._latched
+        if flips.any():
+            self._latched = hot
+            for i in np.flatnonzero(flips & hot).tolist():
+                alarm = ThermalAlarm(now, self.zones[i].name, temps[i])
+                self.alarms.append(alarm)
+                for callback in self._alarm_callbacks:
+                    callback(alarm)
         tracer = self.env.tracer
         for j, crac in enumerate(self.cracs):
             if j not in self.failed_cracs:
@@ -286,16 +284,6 @@ class MachineRoom:
                                  return_c=self.return_temp_c(j, temps))
         self.mechanical_monitor.record(self.mechanical_power_w(temps),
                                        now)
-
-    def _check_alarm(self, zone: ThermalZone) -> None:
-        if zone.in_alarm and zone.name not in self._in_alarm:
-            self._in_alarm.add(zone.name)
-            alarm = ThermalAlarm(self.env.now, zone.name, zone.temp_c)
-            self.alarms.append(alarm)
-            for callback in self._alarm_callbacks:
-                callback(alarm)
-        elif not zone.in_alarm and zone.name in self._in_alarm:
-            self._in_alarm.discard(zone.name)
 
     def run(self):
         """Process generator: step thermals forever on the fine grid."""
@@ -312,10 +300,11 @@ class MachineRoom:
         raise KeyError(f"no zone named {name!r}")
 
     def hottest_zone(self) -> ThermalZone:
-        """The zone with the highest current temperature."""
-        return max(self.zones, key=lambda z: z.temp_c)
+        """The zone with the highest current temperature (first on ties)."""
+        return self.zones[int(np.argmax(self.temp_c))]
 
     def ashrae_compliant(self, low_c: float = 20.0,
                          high_c: float = 25.0) -> bool:
         """Are all zones inside the ASHRAE recommended envelope (§2.2)?"""
-        return all(low_c <= z.temp_c <= high_c for z in self.zones)
+        temps = self.temp_c
+        return bool(((low_c <= temps) & (temps <= high_c)).all())

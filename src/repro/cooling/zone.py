@@ -12,16 +12,39 @@ Project Genome [30]): a CRAC with a large G to zone A and a tiny G to
 zone B "regulates temperature much better at some locations than
 others" — exactly the asymmetry behind the migration hazard we
 reproduce in EXP-CRAC.
+
+A standalone :class:`ThermalZone` keeps its own state and
+:meth:`ThermalZone.step` is the scalar reference.  Handed to a
+:class:`~repro.cooling.room.MachineRoom`, a zone becomes a view on its
+row of the room's columns (temperature, heat load, capacitance, alarm
+threshold), the way a ``VectorServer`` is a fleet row: reads and
+writes go to the room's arrays, and the room steps every zone at once.
 """
 
 from __future__ import annotations
 
 import math
+import types
 
 __all__ = ["ThermalZone", "AIR_SPECIFIC_HEAT_J_PER_KG_K", "AIR_DENSITY_KG_PER_M3"]
 
 AIR_SPECIFIC_HEAT_J_PER_KG_K = 1005.0
 AIR_DENSITY_KG_PER_M3 = 1.2
+
+
+class _RowAttribute:
+    """A zone attribute kept in the zone's row of a column set."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, zone, owner=None):
+        if zone is None:
+            return self
+        return getattr(zone._cols, self.name)[zone._row]
+
+    def __set__(self, zone, value) -> None:
+        getattr(zone._cols, self.name)[zone._row] = value
 
 
 class ThermalZone:
@@ -45,6 +68,11 @@ class ThermalZone:
         will shut down the server").
     """
 
+    temp_c = _RowAttribute()
+    heat_load_w = _RowAttribute()
+    capacitance = _RowAttribute()
+    alarm_temp_c = _RowAttribute()
+
     def __init__(self, name: str,
                  thermal_capacitance_j_per_k: float = 800_000.0,
                  initial_temp_c: float = 22.0,
@@ -52,10 +80,19 @@ class ThermalZone:
         if thermal_capacitance_j_per_k <= 0:
             raise ValueError("thermal capacitance must be positive")
         self.name = name
-        self.capacitance = float(thermal_capacitance_j_per_k)
-        self.temp_c = float(initial_temp_c)
-        self.alarm_temp_c = float(alarm_temp_c)
-        self.heat_load_w = 0.0
+        #: Where this zone's state lives: one-row lists of its own until
+        #: a room adopts it, then the room itself, read at ``_row``.
+        self._cols = types.SimpleNamespace(
+            temp_c=[float(initial_temp_c)], heat_load_w=[0.0],
+            capacitance=[float(thermal_capacitance_j_per_k)],
+            alarm_temp_c=[float(alarm_temp_c)])
+        self._row = 0
+
+    def _attach(self, columns, row: int) -> None:
+        """Become a view on ``row`` of a room's same-named columns."""
+        if not isinstance(self._cols, types.SimpleNamespace):
+            raise ValueError(f"zone {self.name!r} already belongs to a room")
+        self._cols, self._row = columns, row
 
     def set_heat_load(self, watts: float) -> None:
         """Update the IT heat dissipated into this zone."""

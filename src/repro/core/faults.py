@@ -279,7 +279,9 @@ class FaultDomainEngine:
         self.generator_failures = 0
         self._outage_active = False
         self._on_generator = False
-        self._racks = {rack.name: rack for rack in dc.cluster.racks}
+        #: Rack name -> row of the facility's rack columns.
+        self._rack_rows = {rack.name: row
+                           for row, rack in enumerate(dc.cluster.racks)}
 
     # ------------------------------------------------------------------
     # Observation interface (what the macro layer "monitors")
@@ -395,9 +397,10 @@ class FaultDomainEngine:
 
     def _clear(self, incident: Incident, record: IncidentRecord) -> None:
         if incident.kind is FaultKind.RACK_BRANCH:
-            rack = self._racks[incident.target]
-            self.dc.rack_nodes[rack.name].restore()
-            self._park((ServerState.FAILED,), ServerState.OFF, rack=rack)
+            row = self._rack_rows[incident.target]
+            self.dc.rack_tripped[row] = False
+            self._park((ServerState.FAILED,), ServerState.OFF,
+                       rack=self.dc.cluster.racks[row])
         elif incident.kind is FaultKind.UPS_DERATE:
             self.dc.ups.restore_rating()
         elif incident.kind is FaultKind.UTILITY_OUTAGE:
@@ -410,11 +413,12 @@ class FaultDomainEngine:
     # -- rack branch ---------------------------------------------------
     def _apply_rack_branch(self, incident: Incident,
                            record: IncidentRecord) -> None:
-        rack = self._racks.get(incident.target)
-        if rack is None:
+        row = self._rack_rows.get(incident.target)
+        if row is None:
             raise KeyError(f"no rack named {incident.target!r}")
-        self.dc.rack_nodes[rack.name].trip()
-        victims = self._park(_UNFAILED, ServerState.FAILED, rack=rack)
+        self.dc.rack_tripped[row] = True
+        victims = self._park(_UNFAILED, ServerState.FAILED,
+                             rack=self.dc.cluster.racks[row])
         record.detail = f"branch open, {victims} servers down"
 
     # -- utility outage ------------------------------------------------

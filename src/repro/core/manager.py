@@ -28,6 +28,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+import numpy as np
+
 from repro.cluster.server import ServerState
 from repro.control.coordinator import CoordinatedController
 from repro.control.farm import ServerFarm
@@ -268,8 +270,9 @@ class MacroResourceManager:
         if cp is not None:
             return [z.name for z in self.room.zones
                     if cp.zone_temp(z) >= z.alarm_temp_c - margin]
-        return [z.name for z in self.room.zones
-                if z.temp_c >= z.alarm_temp_c - margin]
+        room = self.room
+        hot = room.temp_c >= room.alarm_temp_c - margin
+        return [room.zones[i].name for i in np.flatnonzero(hot).tolist()]
 
     def _drain_zone(self, zone: str) -> int:
         """Gracefully shut down a zone's ACTIVE servers before they trip.

@@ -2,7 +2,7 @@
 
 One :class:`DataCenterSpec` describes a whole facility; ``build()``
 wires every substrate together — servers into zoned racks, racks onto
-a tier-sized power tree and UPS, zones and CRACs into a machine room
+a tier-sized power spine and UPS, zones and CRACs into a machine room
 with a locality-derived sensitivity matrix — and returns a
 :class:`DataCenter` handle holding all of it.
 """
@@ -23,9 +23,7 @@ from repro.cooling.zone import ThermalZone
 from repro.datacenter.tiers import Tier, TIER_SPECS, TierSpec
 from repro.fleet import VectorCluster, VectorFleet, VectorServer
 from repro.power.distribution import (
-    CapacityExceeded,
     PDU_EFFICIENCY,
-    PowerNode,
     TRANSFORMER_EFFICIENCY,
     UPS_DOUBLE_CONVERSION_EFFICIENCY,
 )
@@ -105,21 +103,13 @@ class DataCenterSpec:
                               zone=f"zone-{r % self.zones}"))
         cluster = VectorCluster(self.name, racks)
 
-        # --- power: tree + UPS sized by tier --------------------------
+        # --- power: spine + UPS sized by tier ---------------------------
         rack_peak_w = self.servers_per_rack * self.server_peak_w
         critical_w = self.racks * rack_peak_w
         ups_rating = critical_w * tier_spec.ups_margin()
-        transformer = PowerNode("transformer", ups_rating * 1.2,
-                                TRANSFORMER_EFFICIENCY)
-        ups_node = transformer.add_child(
-            PowerNode("ups", ups_rating,
-                      UPS_DOUBLE_CONVERSION_EFFICIENCY))
-        pdu = ups_node.add_child(
-            PowerNode("pdu", critical_w * 1.1, PDU_EFFICIENCY))
-        rack_nodes = {}
-        for rack in racks:
-            rack_nodes[rack.name] = pdu.add_child(
-                PowerNode(rack.name, rack_peak_w * 1.2))
+        power_stages = ((critical_w * 1.1, PDU_EFFICIENCY),
+                        (ups_rating, UPS_DOUBLE_CONVERSION_EFFICIENCY),
+                        (ups_rating * 1.2, TRANSFORMER_EFFICIENCY))
         ups = UPSUnit(env, f"{self.name}-ups",
                       steady_rating_w=ups_rating,
                       battery_energy_j=ups_rating * 300.0)
@@ -149,33 +139,52 @@ class DataCenterSpec:
 
         return DataCenter(env=env, spec=self, tier_spec=tier_spec,
                           cluster=cluster, servers=servers,
-                          power_tree=transformer, rack_nodes=rack_nodes,
-                          ups=ups, room=room,
+                          power_stages=power_stages, ups=ups, room=room,
                           pue=PUEAccountant(env),
                           economizer=economizer, weather=weather)
 
 
 @dataclasses.dataclass
 class DataCenter:
-    """A fully-wired facility (returned by :meth:`DataCenterSpec.build`)."""
+    """A fully-wired facility (returned by :meth:`DataCenterSpec.build`).
+
+    The power path of paper Figure 1 is held as columns: every rack
+    feeds the PDU through one branch breaker, whose state is the
+    boolean column :attr:`rack_tripped` (rack order, ``True`` = open;
+    the fault engine trips and restores it), and above the breakers a
+    three-stage spine — PDU, UPS, transformer — each a ``(capacity_w,
+    efficiency curve)`` pair in :attr:`power_stages`.  The thermal
+    side is the :class:`MachineRoom`'s zone columns, fed through
+    :attr:`rack_zone`.  :meth:`sync_physical` folds both once per
+    tick; a :class:`~repro.power.distribution.PowerNode` tree of the
+    same shape is its reference.
+    """
 
     env: Environment
     spec: DataCenterSpec
     tier_spec: TierSpec
     cluster: VectorCluster
     servers: list
-    power_tree: PowerNode
-    rack_nodes: dict
+    #: ``(capacity_w, efficiency)`` of the PDU, UPS and transformer,
+    #: in fold order (downstream first).
+    power_stages: tuple
     ups: UPSUnit
     room: MachineRoom
     pue: PUEAccountant
     economizer: AirSideEconomizer | None = None
     weather: WeatherModel | None = None
-    #: Lazily-built fast-path handle for the canonical power tree
-    #: (see :meth:`_tree_fast_path`).  ``None`` before the first
-    #: physical tick; ``()`` when the shape check failed.
-    _tree_fast: tuple | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False)
+    #: Room zone row of each rack, in rack order.
+    rack_zone: np.ndarray = dataclasses.field(
+        init=False, repr=False, compare=False)
+    #: Open rack-branch breakers, in rack order.
+    rack_tripped: np.ndarray = dataclasses.field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = {zone.name: i for i, zone in enumerate(self.room.zones)}
+        self.rack_zone = np.array(
+            [rows[rack.zone] for rack in self.cluster.racks], dtype=np.intp)
+        self.rack_tripped = np.zeros(len(self.cluster.racks), dtype=bool)
 
     def healthy_capacity(self) -> float:
         """Installed capacity minus failed servers (work units/s).
@@ -192,118 +201,52 @@ class DataCenter:
         return ((self.spec.total_servers - failed)
                 * self.spec.server_capacity)
 
-    def _tree_fast_path(self) -> tuple | None:
-        """Cache the spec's canonical transformer→UPS→PDU→leaf chain.
-
-        The builder always produces this shape: a three-node spine
-        whose PDU fans out to one identity-efficiency leaf per rack,
-        in rack order.  When it holds, :meth:`sync_physical` can fold
-        the whole tree in one pass — leaf input equals leaf demand
-        exactly (efficiency 1.0), the three spine stages are scalar —
-        instead of recursing node-by-node twice per tick.  Any
-        restructured tree (extra children, strict or lossy leaves)
-        returns ``None`` and keeps the generic recursive walk.
-        """
-        fast = self._tree_fast
-        if fast is not None:
-            return fast or None
-        root = self.power_tree
-        racks = self.cluster.racks
-        spine_ok = (len(root.children) == 1
-                    and len(root.children[0].children) == 1)
-        if spine_ok:
-            ups_node = root.children[0]
-            pdu = ups_node.children[0]
-            leaves = pdu.children
-            leaf_ok = (len(leaves) == len(racks) and all(
-                leaf is self.rack_nodes.get(rack.name)
-                and not leaf.children and not leaf.strict
-                and len(leaf.efficiency.knots) == 1
-                and leaf.efficiency.knots[0][1] == 1.0
-                for leaf, rack in zip(leaves, racks)))
-            if leaf_ok:
-                # Leaf state (``_leaf_demand_w``, ``failed``) lives in
-                # plain instance dicts; binding them here turns the
-                # per-tick store loop into raw dict writes.
-                self._tree_fast = (ups_node, pdu, leaves,
-                                   [leaf.__dict__ for leaf in leaves])
-                return self._tree_fast
-        self._tree_fast = ()
-        return None
+    def rack_input_w(self) -> np.ndarray:
+        """Power each rack branch draws from the PDU, in rack order:
+        the rack's draw, or 0.0 behind an open breaker."""
+        return np.where(self.rack_tripped, 0.0,
+                        self.cluster.rack_powers_array())
 
     @staticmethod
-    def _stage_in(node: PowerNode, out_w: float) -> float:
-        """``PowerNode.input_w`` arithmetic with the output pre-folded."""
-        if node.failed or out_w == 0.0:
+    def _stage_in(stage: tuple, out_w: float) -> float:
+        """``PowerNode.input_w`` of a closed, non-strict stage."""
+        capacity_w, efficiency = stage
+        if out_w == 0.0:
             return 0.0
-        load_fraction = out_w / node.capacity_w
-        if node.strict and load_fraction > 1.0:
-            raise CapacityExceeded(node, out_w)
-        return out_w / node.efficiency(load_fraction)
+        return out_w / efficiency(out_w / capacity_w)
 
     def sync_physical(self) -> dict:
         """Push current compute state into the physical models.
 
-        Sets rack demands on the power tree, heat loads on the zones,
-        updates the UPS, and records a PUE sample.  Returns a snapshot
+        Heats the zones with the racks' draws (one scatter in rack
+        order), folds the rack branches into the PDU and up the spine,
+        loads the UPS, and records a PUE sample.  Returns a snapshot
         dict for convenience.  The co-simulation harness calls this
         every tick; it is also handy interactively.
-        """
-        # Power tree leaves <- rack draws.
-        fast = self._tree_fast_path()
-        if fast is not None:
-            ups_node, pdu, leaves, leaf_dicts = fast
-            demands_arr = self.cluster.rack_powers_array()
-            demands = demands_arr.tolist()
-            # One fused pass: leaf input == leaf demand (identity
-            # efficiency, exact), folded left-to-right in child order
-            # — bit-identical to the recursive walk it replaces.  The
-            # common no-failed-leaves case folds with one cumsum (the
-            # same sequential left fold); any tripped leaf drops to
-            # the skip-aware scalar fold.
-            clean = True
-            for d, watts in zip(leaf_dicts, demands):
-                d["_leaf_demand_w"] = watts
-                if d["failed"]:
-                    clean = False
-            if clean:
-                pdu_out = (float(np.cumsum(demands_arr)[-1])
-                           if demands else 0.0)
-            else:
-                pdu_out = 0.0
-                for leaf, watts in zip(leaves, demands):
-                    if not leaf.failed:
-                        pdu_out += watts
-            if pdu.failed:
-                pdu_out = 0.0
-            pdu_in = self._stage_in(pdu, pdu_out)
-            ups_out = 0.0 if ups_node.failed else pdu_in
-            ups_in = self._stage_in(ups_node, ups_out)
-            grid_w = self._stage_in(self.power_tree, ups_in)
-            it_w = self.cluster.power_w()
-            loss_w = grid_w - it_w
-            self.ups.set_load(ups_out)
-        else:
-            for rack in self.cluster.racks:
-                self.rack_nodes[rack.name].set_demand(rack.power_w())
-            it_w = self.cluster.power_w()
-            grid_w = self.power_tree.input_w()
-            loss_w = grid_w - it_w
-            self.ups.set_load(self.power_tree.find("ups").output_w())
 
-        # Zones <- heat by zone (IT heat + its share of losses lands
-        # in the room; distribution losses heat electrical rooms and
-        # are cooled too, but we attribute them to the plant load).
-        heat = self.cluster.heat_by_zone()
-        for zone in self.room.zones:
-            zone.set_heat_load(heat.get(zone.name, 0.0))
+        The PDU output is one ``cumsum`` left fold over
+        :meth:`rack_input_w` — an open breaker adds +0.0, which is
+        exact for non-negative draws — so it equals a ``PowerNode``
+        tree walked with ``input_w()`` bit for bit.
+        """
+        # The zones take the IT heat; distribution losses heat the
+        # electrical rooms and are attributed to the plant load.
+        self.room.heat_load_w = np.bincount(
+            self.rack_zone, weights=self.cluster.rack_powers_array(),
+            minlength=len(self.room.zones))
+        pdu, ups_stage, transformer = self.power_stages
+        pdu_out = float(np.cumsum(self.rack_input_w())[-1])
+        ups_out = self._stage_in(pdu, pdu_out)
+        grid_w = self._stage_in(transformer,
+                                self._stage_in(ups_stage, ups_out))
+        it_w = self.cluster.power_w()
+        loss_w = grid_w - it_w
+        self.ups.set_load(ups_out)
         if self.economizer is not None:
             # Air-side heat rejection: the CRAC blowers still move the
             # air, but the heat leaves via outside air / trimmed
             # chiller per the economizer mode.
-            temps = self.room.zone_temps()
-            removed = sum(self.room.heat_removed_w(j, temps)
-                          for j in range(len(self.room.cracs)))
+            removed = sum(self.room.crac_heat_w().tolist())
             now = self.env.now
             mechanical_w = self.economizer.mechanical_power_w(
                 removed, self.weather.temperature_c(now),

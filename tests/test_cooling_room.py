@@ -1,6 +1,8 @@
 """Integration tests: machine room with zones, CRACs, and alarms."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cooling import CRACUnit, MachineRoom, ThermalZone
 from repro.sim import Environment
@@ -131,3 +133,76 @@ def test_ashrae_compliance_check():
     assert room.ashrae_compliant()
     zones[0].temp_c = 27.0
     assert not room.ashrae_compliant()
+
+
+def test_zone_views_share_the_room_columns():
+    env = Environment()
+    room, zones, _ = two_zone_room(env, [[1000.0], [1000.0]])
+    zones[1].set_heat_load(500.0)
+    zones[0].temp_c = 25.0
+    assert room.heat_load_w.tolist() == [0.0, 500.0]
+    assert room.temp_c.tolist() == [25.0, 22.0]
+    room.heat_load_w = np.array([1.0, 2.0])
+    assert zones[1].heat_load_w == 2.0
+    with pytest.raises(ValueError):
+        MachineRoom(env, zones, [CRACUnit()], [[1.0], [1.0]])
+
+
+#: Integer conductances and quarter-degree supplies keep every partial
+#: sum of the scalar step exact, so its ``sum`` (compensated for floats
+#: on Python >= 3.12) and the room's left fold agree on any interpreter.
+conductances = st.sampled_from([0.0, 0.0, 1.0, 250.0, 1_000.0, 4_000.0])
+
+
+@st.composite
+def rooms(draw):
+    n_zones = draw(st.integers(1, 12))
+    n_cracs = draw(st.integers(1, 4))
+    matrix = [[draw(conductances) for _ in range(n_cracs)]
+              for _ in range(n_zones)]
+    if draw(st.booleans()):
+        matrix[draw(st.integers(0, n_zones - 1))] = [0.0] * n_cracs
+    zones = [dict(thermal_capacitance_j_per_k=draw(
+                      st.floats(1e4, 2e6)),
+                  initial_temp_c=draw(st.floats(15.0, 35.0)),
+                  alarm_temp_c=draw(st.floats(25.0, 40.0)))
+             for _ in range(n_zones)]
+    cracs = [dict(initial_supply_c=draw(st.integers(40, 80)) / 4.0,
+                  control_period_s=draw(st.sampled_from([30.0, 90.0, 900.0])),
+                  transport_delay_s=draw(st.sampled_from([0.0, 60.0])))
+             for _ in range(n_cracs)]
+    heats = draw(st.lists(
+        st.lists(st.sampled_from([0.0, 1_500.0, 7_777.7, 30_000.0]),
+                 min_size=n_zones, max_size=n_zones),
+        min_size=1, max_size=8))
+    failed = draw(st.none() | st.integers(0, n_cracs - 1))
+    return zones, cracs, matrix, heats, failed
+
+
+@settings(max_examples=150, deadline=None)
+@given(rooms())
+def test_room_steps_match_scalar_zone_twins(room_case):
+    """N room steps equal ``ThermalZone.step`` per zone, bit for bit."""
+    zone_kwargs, crac_kwargs, matrix, heats, failed = room_case
+    env = Environment()
+    zones = [ThermalZone(f"z{i}", **kw) for i, kw in enumerate(zone_kwargs)]
+    twins = [ThermalZone(f"z{i}", **kw) for i, kw in enumerate(zone_kwargs)]
+    cracs = [CRACUnit(f"c{j}", supply_min_c=5.0, supply_max_c=25.0, **kw)
+             for j, kw in enumerate(crac_kwargs)]
+    room = MachineRoom(env, zones, cracs, matrix, step_s=30.0)
+    if failed is not None:
+        room.fail_crac(failed)
+    for step, heat in enumerate(heats):
+        if step % 2:
+            room.heat_load_w = np.array(heat)
+        else:
+            for zone, watts in zip(zones, heat):
+                zone.set_heat_load(watts)
+        supplies = [c.supply_temp_c for c in cracs]
+        for twin, watts, row in zip(twins, heat, room.conductance.tolist()):
+            twin.set_heat_load(watts)
+            twin.step(room.step_s, supplies, row)
+        room.step_once()
+        env.run(until=env.now + room.step_s)
+        assert room.temp_c.tolist() == [t.temp_c for t in twins]
+        assert all(type(z.temp_c) is np.float64 for z in zones)

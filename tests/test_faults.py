@@ -149,14 +149,13 @@ def test_rack_branch_failure_kills_and_repairs_whole_rack():
         Incident(FaultKind.RACK_BRANCH, at_s=600.0, duration_s=1_800.0,
                  target="dc-rack0")]), managed=False)
     rack = sim.dc.cluster.racks[0]
-    node = sim.dc.rack_nodes[rack.name]
     sim.env.run(until=700.0)
     assert all(s.state is ServerState.FAILED for s in rack.servers)
-    assert node.failed and node.input_w() == 0.0
+    assert sim.dc.rack_tripped[0] and sim.dc.rack_input_w()[0] == 0.0
     sim.env.run(until=3_000.0)
     # Repaired to OFF (ready to boot), breaker closed, record closed.
     assert all(s.state is ServerState.OFF for s in rack.servers)
-    assert not node.failed
+    assert not sim.dc.rack_tripped[0]
     record = sim.fault_engine.records[0]
     assert record.end_s == pytest.approx(2_400.0)
     assert record.duration_s == pytest.approx(1_800.0)

@@ -237,6 +237,26 @@ class TestCheckPerfRegression:
                             "--current", str(short),
                             "--skip-rows", "PERF: b"]) == 2
 
+    def test_several_runs_gate_each_rows_best(self, tmp_path):
+        script = load_script("check_perf_regression")
+        base = self.write(tmp_path / "base.json",
+                          self.rows(**{"PERF: a": 1.0, "PERF: b": 2.0}))
+        slow = self.write(tmp_path / "slow.json",
+                          self.rows(**{"PERF: a": 3.0, "PERF: b": 2.0}))
+        quick = self.write(tmp_path / "quick.json",
+                           self.rows(**{"PERF: a": 1.1, "PERF: b": 9.0}))
+        # Each row's best run is within its gate, though no one run is.
+        assert script.main(["--baseline", str(base),
+                            "--current", str(slow), str(quick)]) == 0
+        # Slow in every run still fails …
+        assert script.main(["--baseline", str(base),
+                            "--current", str(slow), str(slow)]) == 1
+        # … and a row one run dropped is missing.
+        short = self.write(tmp_path / "short.json",
+                           self.rows(**{"PERF: a": 1.0}))
+        assert script.main(["--baseline", str(base),
+                            "--current", str(quick), str(short)]) == 2
+
     HOST_A = {"cpu_count": 2, "machine": "x86_64", "python": "3.11.7",
               "numpy": "2.4.6"}
     HOST_B = {"cpu_count": 16, "machine": "x86_64", "python": "3.12.1",
