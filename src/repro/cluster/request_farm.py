@@ -220,11 +220,11 @@ class RequestFarm:
         """Batched :meth:`drive_poisson`: pre-sample, bulk-schedule.
 
         Draws the whole exponential gap train in one vectorized RNG
-        call and inserts every arrival into the kernel's calendar ring
-        in a single bulk pass — no per-arrival generator frame.  Work
-        is still sampled per request at dispatch time, so DVFS and
-        roster changes mid-run apply exactly as with the incremental
-        driver.  RNG consumption differs from :meth:`drive_poisson`
+        call and schedules every arrival with one
+        ``schedule_callback_bulk`` call — no per-arrival generator
+        frame.  Work is still sampled per request at dispatch time, so
+        DVFS and roster changes mid-run apply exactly as with the
+        incremental driver.  RNG consumption differs from :meth:`drive_poisson`
         (gaps up front instead of interleaved with work draws), so the
         two drivers realize different — equally distributed — sample
         paths.  Returns the number of discrete arrivals scheduled.

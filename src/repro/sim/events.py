@@ -4,12 +4,16 @@ An :class:`Event` is a one-shot synchronization point.  Processes wait on
 events by ``yield``-ing them; the kernel resumes every waiter when the
 event is *triggered*.  Events carry a value (delivered as the result of
 the ``yield``) or an exception (raised inside the waiting process).
+
+A :class:`Timeout` pushes itself straight onto the environment's
+``heapq`` event queue (see :mod:`repro.sim.kernel`) and rejects a
+negative, NaN or infinite delay.
 """
 
 from __future__ import annotations
 
-import heapq
 import typing
+from heapq import heappush
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Environment
@@ -17,6 +21,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["Event", "Timeout", "AnyOf", "AllOf", "Interrupt"]
 
 _PENDING = object()
+_INF = float("inf")
 
 #: Shared initial ``callbacks`` for :class:`Timeout`.  A pending event's
 #: callbacks may be this immutable empty tuple instead of a list — the
@@ -140,42 +145,18 @@ class Timeout(Event):
     _ok = True
 
     def __init__(self, env: "Environment", delay: float, value=None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"invalid delay {delay}")
         self.env = env
         self.callbacks = _NO_CALLBACKS
         self._value = value
         self.delay = delay
         self._waiter = None
-        # Inlined env.schedule(self, delay=delay) and the calendar
-        # ring insert — the call overhead is measurable at millions of
-        # timeouts per run.  Priority 1 packs to the bare insertion id
-        # (see Environment.schedule).
+        # Inlined env.schedule(self, delay=delay) — the call overhead is
+        # measurable at millions of timeouts per run.  Priority 1 packs
+        # to the bare insertion id (see Environment.schedule).
         eid = env._eidn = env._eidn + 1
-        q = env._queue
-        t = env._now + delay
-        tw = t * q.inv_width
-        idx = int(tw)
-        if idx > tw:
-            idx -= 1
-        if idx < q.far_start_idx:
-            cur = q.cur
-            if idx > cur:
-                q.buckets[idx & q.mask].append((t, eid, self))
-                q.size += 1
-            else:
-                # Current-or-behind bucket: clamp + interrupt flag
-                # (see CalendarQueue.push).
-                b = q.buckets[cur & q.mask]
-                b.append((t, eid, self))
-                q.size += 1
-                q.intr = True
-                if t < q.intr_t:
-                    q.intr_t = t
-                if len(b) > 1:
-                    q.dirty = True
-        else:
-            heapq.heappush(q.far, (t, eid, self))
+        heappush(env._queue, (env._now + delay, eid, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {hex(id(self))}>"

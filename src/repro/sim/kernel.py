@@ -13,21 +13,25 @@ push site), and 2**52 insertions outlast any simulation this code base
 will ever run.  Only priorities 0 (interrupt) and 1 (everything else)
 are used today; any non-negative priority packs correctly.
 
-The queue itself is a :class:`~repro.sim.calendar.CalendarQueue` — a
-bucketed calendar ring whose total order over ``(time, key)`` is
-identical to the ``heapq`` it replaced, but whose pop is an amortised
-``list.pop()`` from a pre-sorted bucket instead of a heap sift.  The
-hot sites (:meth:`timeout` and ``Timeout.__init__``) inline the
-ring-insert to skip even the method-call frame.
+The queue is a plain ``heapq`` list of those tuples.  Every key is
+unique, so the heap's pop order is the total ``(time, key)`` order.
+Since the fleet's transition kernels share one timer per batch, a
+simulated day of the 20k-server fleet pushes fewer than 10k events:
+at that traffic a heap is as fast as a bucketed calendar queue at
+every queue depth measured, and the hot push sites (:meth:`timeout` and ``Timeout.__init__``) are one
+``heappush`` each.
+
+Times are checked where they enter the queue: a negative, NaN or
+infinite delay (or absolute time) raises :class:`ValueError`, so the
+clock can neither run backwards nor jump to a time that is not one.
 """
 
 from __future__ import annotations
 
-import heapq
 import sys
 import typing
+from heapq import heappop, heappush
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.events import (
     AllOf,
     AnyOf,
@@ -54,7 +58,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue = CalendarQueue(self._now)
+        self._queue: list[tuple] = []
         self._eidn = 0
         self._active_process: Process | None = None
         #: Optional :class:`~repro.obs.Tracer` (the flight recorder).
@@ -87,20 +91,24 @@ class Environment:
         """Queue ``event`` to be processed after ``delay`` seconds.
 
         Lower ``priority`` fires first among simultaneous events
-        (interrupts use 0 so they beat ordinary wakeups).
+        (interrupts use 0 so they beat ordinary wakeups).  ``delay``
+        must be finite and non-negative.
         """
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"invalid delay {delay}")
         eid = self._eidn = self._eidn + 1
-        self._queue.push(
-            (self._now + delay, ((priority - 1) << 52) + eid, event))
+        heappush(self._queue,
+                 (self._now + delay, ((priority - 1) << 52) + eid, event))
 
     def schedule_callback_bulk(self, times, callback,
                                values=None) -> list[Timeout]:
         """Schedule ``callback(event)`` at each absolute time in ``times``.
 
         The bulk companion to ``timeout() + callbacks.append``: builds
-        one :class:`Timeout` per entry up front and inserts them into
-        the calendar ring in a single numpy-binned pass — the backbone
-        of pre-sampled workload arrival trains.  ``times`` must be
+        one :class:`Timeout` per entry and pushes them in array order —
+        the backbone of pre-sampled workload arrival trains.  Each event
+        gets its own callbacks list, so a process or a ``run(until=)``
+        may wait on it like on any timeout.  ``times`` must be finite
         absolute simulated times ``>= now`` (any order; ties dispatch
         in array order, matching sequential ``timeout()`` calls).  Each
         event's value is the entry of ``values`` at the same position,
@@ -108,24 +116,29 @@ class Environment:
         """
         now = self._now
         eidn = self._eidn
-        shared = (callback,)
         entries = []
         events = []
         for i, t in enumerate(times):
             t = float(t)
-            if t < now:
-                raise ValueError(f"time {t} lies in the past (now={now})")
+            if not now <= t < _INF:
+                raise ValueError(
+                    f"time {t} lies in the past (now={now})" if t < now
+                    else f"invalid time {t}")
             event = Timeout.__new__(Timeout)
             event.env = self
-            event.callbacks = shared
+            event.callbacks = [callback]
             event._value = t if values is None else values[i]
             event.delay = t - now
             event._waiter = None
             eidn += 1
             entries.append((t, eidn, event))
             events.append(event)
+        # Validated in full before the first push: a bad entry leaves
+        # the queue untouched.
         self._eidn = eidn
-        self._queue.push_bulk(entries)
+        q = self._queue
+        for entry in entries:
+            heappush(q, entry)
         return events
 
     # ------------------------------------------------------------------
@@ -142,8 +155,8 @@ class Environment:
         this factory runs once per tick of every periodic process, and
         the saved call frame is worth a few percent of total runtime.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"invalid delay {delay}")
         free = self._free
         if free:
             # Reuse a consumed timeout (refcount-proven unreferenced
@@ -157,31 +170,7 @@ class Environment:
         event.delay = delay
         event._waiter = None
         eid = self._eidn = self._eidn + 1
-        # Inlined CalendarQueue.push — this is the hottest push site.
-        q = self._queue
-        t = self._now + delay
-        tw = t * q.inv_width
-        idx = int(tw)
-        if idx > tw:
-            idx -= 1
-        if idx < q.far_start_idx:
-            cur = q.cur
-            if idx > cur:
-                q.buckets[idx & q.mask].append((t, eid, event))
-                q.size += 1
-            else:
-                # Current-or-behind bucket: clamp + interrupt flag
-                # (see CalendarQueue.push).
-                b = q.buckets[cur & q.mask]
-                b.append((t, eid, event))
-                q.size += 1
-                q.intr = True
-                if t < q.intr_t:
-                    q.intr_t = t
-                if len(b) > 1:
-                    q.dirty = True
-        else:
-            heapq.heappush(q.far, (t, eid, event))
+        heappush(self._queue, (self._now + delay, eid, event))
         return event
 
     def process(self, generator: typing.Generator,
@@ -229,13 +218,14 @@ class Environment:
 
         Raises :class:`IndexError` when the queue is empty.
         """
-        time, _key, event = self._queue.pop()
+        time, _key, event = heappop(self._queue)
         self._now = time
         self._dispatch(event)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue.peek_time()
+        q = self._queue
+        return q[0][0] if q else _INF
 
     def run(self, until: float | Event | None = None):
         """Run the simulation.
@@ -267,9 +257,10 @@ class Environment:
                 return sentinel.value
         elif until is not None:
             horizon = float(until)
-            if horizon < self._now:
+            if not horizon >= self._now:
                 raise ValueError(
-                    f"until={horizon} lies in the past (now={self._now})")
+                    f"until={horizon} lies in the past (now={self._now})"
+                    if horizon < self._now else f"invalid until={horizon}")
         tracer = self.tracer
         if tracer is not None:
             timer = tracer.timer("kernel")
@@ -281,106 +272,75 @@ class Environment:
         if sentinel is not None:
             _subscribe_callback(sentinel, fired.append)
         q = self._queue
-        take_before = q.take_before
         free = self._free
         getrefcount = sys.getrefcount
         n_fast = n_dispatch = n_completed = n_failed = 0
-        batch = None
         try:
-            while True:
-                batch = take_before(horizon)
-                if batch is None:
-                    break
-                # The batch is descending; batch.pop() consumes it in
-                # dispatch order.  A push landing inside the batch's time
-                # window sets q.intr; the remainder goes back for a
-                # re-sort only when the push can actually precede a batch
-                # entry (strictly smaller time than the batch maximum —
-                # fresh eids always order after pending ones at equal
-                # times).  See CalendarQueue.take_before.
-                while batch:
-                    if q.intr:
-                        q.intr = False
-                        if q.intr_t < batch[0][0]:
-                            q.intr_t = _INF
-                            q.requeue(batch)
-                            batch = None
-                            break
-                        q.intr_t = _INF
-                    entry = batch.pop()
-                    time, _key, event = entry
-                    # Drop the queue tuple so the refcount-based
-                    # recycling check below sees only the `event`
-                    # local + the getrefcount argument.
-                    entry = None
-                    self._now = time
-                    if type(event) is Timeout:
-                        proc = event._waiter
-                        if proc is not None:
-                            # Hot path: one process waiting on a plain
-                            # timeout (a set waiter implies no other
-                            # subscribers).  Resume its generator right
-                            # here — no _dispatch or _resume frame — and
-                            # re-subscribe it if it yields another fresh
-                            # timeout (it almost always does).
-                            n_fast += 1
-                            event.callbacks = None
-                            self._active_process = proc
-                            try:
-                                result = proc._send(event._value)
-                            except StopIteration as stop:
-                                self._active_process = None
-                                proc._target = None
-                                proc.succeed(stop.value)
-                                n_completed += 1
-                                continue
-                            except BaseException as exc:
-                                self._active_process = None
-                                proc._target = None
-                                proc.fail(exc)
-                                self._on_process_failure(proc, exc)
-                                n_failed += 1
-                                continue
+            while q and q[0][0] < horizon:
+                # Unpacking drops the popped tuple, so the
+                # refcount-based recycling check below sees only the
+                # `event` local + the getrefcount argument.
+                time, _key, event = heappop(q)
+                self._now = time
+                if type(event) is Timeout:
+                    proc = event._waiter
+                    if proc is not None:
+                        # Hot path: one process waiting on a plain
+                        # timeout (a set waiter implies no other
+                        # subscribers).  Resume its generator right
+                        # here — no _dispatch or _resume frame — and
+                        # re-subscribe it if it yields another fresh
+                        # timeout (it almost always does).
+                        n_fast += 1
+                        event.callbacks = None
+                        self._active_process = proc
+                        try:
+                            result = proc._send(event._value)
+                        except StopIteration as stop:
                             self._active_process = None
-                            if type(result) is Timeout:
-                                callbacks = result.callbacks
-                                if callbacks is not None:
-                                    proc._target = result
-                                    if type(callbacks) is tuple:
-                                        waiter = result._waiter
-                                        if waiter is None:
-                                            result._waiter = proc
-                                        else:
-                                            result._waiter = None
-                                            result.callbacks = [
-                                                waiter._resume_cb,
-                                                proc._resume_cb,
-                                            ]
-                                    else:
-                                        callbacks.append(proc._resume_cb)
-                                    # Recycle the consumed timeout when
-                                    # provably unreferenced (the local +
-                                    # the getrefcount argument are the
-                                    # only refs left): timeout() reuses
-                                    # the object instead of allocating.
-                                    if getrefcount(event) == 2:
-                                        free.append(event)
-                                    continue
                             proc._target = None
-                            proc._subscribe(result)
+                            proc.succeed(stop.value)
+                            n_completed += 1
                             continue
-                    self._dispatch(event)
-                    n_dispatch += 1
-                    if fired:
-                        break
+                        except BaseException as exc:
+                            self._active_process = None
+                            proc._target = None
+                            proc.fail(exc)
+                            self._on_process_failure(proc, exc)
+                            n_failed += 1
+                            continue
+                        self._active_process = None
+                        if type(result) is Timeout:
+                            callbacks = result.callbacks
+                            if callbacks is not None:
+                                proc._target = result
+                                if type(callbacks) is tuple:
+                                    waiter = result._waiter
+                                    if waiter is None:
+                                        result._waiter = proc
+                                    else:
+                                        result._waiter = None
+                                        result.callbacks = [
+                                            waiter._resume_cb,
+                                            proc._resume_cb,
+                                        ]
+                                else:
+                                    callbacks.append(proc._resume_cb)
+                                # Recycle the consumed timeout when
+                                # provably unreferenced (the local +
+                                # the getrefcount argument are the
+                                # only refs left): timeout() reuses
+                                # the object instead of allocating.
+                                if getrefcount(event) == 2:
+                                    free.append(event)
+                                continue
+                        proc._target = None
+                        proc._subscribe(result)
+                        continue
+                self._dispatch(event)
+                n_dispatch += 1
                 if fired:
-                    if batch:
-                        q.requeue(batch)
                     break
-        except BaseException:
-            if batch:
-                q.requeue(batch)
-            raise
         finally:
             if tracer is not None:
                 handle.__exit__(None, None, None)

@@ -12,9 +12,9 @@ Three generators cover the paper's demand regimes:
 Each offers ``times(horizon)`` for trace generation and ``drive`` for
 pushing arrival events into a simulation Store one by one.
 ``drive_bulk`` is the batched alternative: it pre-samples the whole
-arrival train with ``times(horizon)`` and schedules every event in a
-single vectorized calendar-ring insert — O(1) Python frames per
-arrival replaced by one bulk pass.  The two drivers consume the RNG
+arrival train with ``times(horizon)`` and schedules every event in
+one ``schedule_callback_bulk`` call instead of a generator frame per
+arrival.  The two drivers consume the RNG
 in different orders (all gaps up front vs interleaved with the
 simulation), so a given seed produces different — equally valid —
 sample paths; pick one driver per experiment and stay with it.
@@ -37,7 +37,7 @@ def _drive_bulk(process, env: Environment, store: Store,
     """Pre-sample ``process.times(horizon_s)`` and bulk-schedule puts.
 
     Returns the number of arrivals scheduled.  Items land in ``store``
-    at their arrival instants via the kernel's bulk calendar insert.
+    at their arrival instants via the kernel's bulk schedule.
     """
     times = np.asarray(process.times(horizon_s), dtype=np.float64)
     if times.size == 0:

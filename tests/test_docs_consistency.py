@@ -6,6 +6,7 @@ new benchmark cannot land undocumented and a documented one cannot
 silently disappear.
 """
 
+import importlib
 import pathlib
 import re
 
@@ -62,3 +63,33 @@ def test_all_packages_documented_in_readme():
                 for p in (ROOT / "src" / "repro").glob("*/__init__.py")}
     missing = [p for p in packages if f"repro.{p}" not in readme]
     assert not missing, f"README architecture omits: {missing}"
+
+
+def _resolves(dotted):
+    """Whether ``dotted`` names a module, or a name inside one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        module = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            if exc.name != module:
+                raise
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def test_documented_modules_exist():
+    """Every dotted ``repro.…`` path in the docs resolves, so a deleted
+    or renamed module cannot stay documented."""
+    paths = set()
+    for name in ("DESIGN.md", "README.md", "EXPERIMENTS.md"):
+        paths |= set(re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", read(name)))
+    assert paths, "no repro.* paths found in the docs"
+    ghosts = sorted(p for p in paths if not _resolves(p))
+    assert not ghosts, f"docs name missing modules or names: {ghosts}"
