@@ -188,6 +188,49 @@ def test_scale_smoke_20000_servers_diurnal(benchmark):
            diurnal_over_flat=diurnal_s / flat_s, fleet_switches=switches)
 
 
+#: sha256 of the served day's ``result_fingerprint`` (25 racks, the
+#: bench's 200k-session script, seed 0).
+SERVED_DAY_SHA256 = (
+    "2f13dff98222eaa9a87e2cd653382aabcd2006c4b925d8b6af3067f0d94c1565")
+
+
+def test_perf_served_session_day(benchmark):
+    """The served daemon's day, in process: 500 servers.
+
+    ``SimSession`` is what the NDJSON daemon steps.  This row feeds it
+    the ``served-flash-crowd`` bench workload's 200k-session script
+    and steps one tick at a time, reading every telemetry stream after
+    each tick — the daemon's work without the socket.  Its tail is the
+    5-minute macro tick: On/Off, the coordinator and the capper.
+    """
+    import hashlib
+
+    from repro.serve.loadgen import session_script
+    from repro.serve.protocol import result_fingerprint
+    from repro.serve.session import ServeScenario, SimSession
+
+    scenario = ServeScenario(racks=25, seed=0)
+    script, ticks = session_script(scenario, 200_000, days=1.0, seed=0)
+
+    def day():
+        session = SimSession(scenario)
+        for mutation in script:
+            session.submit(mutation)
+        for _ in range(ticks):
+            session.advance(1)
+            session.telemetry()
+        return session.result()
+
+    result = benchmark.pedantic(day, rounds=1, iterations=1)
+    digest = hashlib.sha256(
+        result_fingerprint(result).encode()).hexdigest()
+    assert digest == SERVED_DAY_SHA256
+    assert result.sla.served_fraction > 0.9
+    record(benchmark, "PERF: served session day",
+           [f"served {result.sla.served_fraction:.2%} over {ticks} "
+            f"ticks, wall time {benchmark.stats['mean']:.1f} s"])
+
+
 def test_scale_smoke_100000_servers(benchmark):
     """A 100,000-server managed day on the zone-sharded plant.
 

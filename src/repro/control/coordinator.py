@@ -87,15 +87,14 @@ class CoordinatedController:
         demand = self.demand_source(farm.env.now) * self.headroom
         per_server_full = farm.servers[0].capacity * self.target_utilization
 
-        # Step 1: machine count at full speed.  With an impaired
-        # control plane attached, the committed count and active
-        # roster are *believed* state — the controller cannot see
-        # whether its wake commands actually landed.
+        # Step 1: machine count at full speed.  With a control plane
+        # attached (only an impaired one ever is), the committed count
+        # and active roster are *believed* state — the controller
+        # cannot see whether its wake commands actually landed.
         cp = farm.control_plane
-        mediated = cp is not None and not cp.perfect
         target = max(1, math.ceil(demand / per_server_full))
         target = min(target, len(farm.servers))
-        if mediated:
+        if cp is not None:
             committed = sum(
                 1 for s in farm.servers
                 if cp.believed_state(s) is ServerState.ACTIVE)
@@ -116,8 +115,7 @@ class CoordinatedController:
         if batch is not None:
             n_active = batch.active_count
         else:
-            active = (cp.believed_active(farm) if mediated
-                      else farm.active_servers())
+            active = cp.believed_active(farm)
             n_active = len(active)
         pstate = 0
         if n_active:

@@ -15,10 +15,10 @@ Two flavors:
 
 Both prefer waking SLEEPING machines over booting OFF ones and drain
 via the load balancer implicitly (the farm re-dispatches next tick).
-Every actuation takes one of two paths: the attached control plane's
-per-command path, or — with no plane — the vector fleet's transition
-kernels (``start_many``/``park_many``), one call per decision, traced
-as ``via="controlplane"`` and ``via="fleet"`` respectively.
+Every actuation takes one of two paths: an attached (impaired) control
+plane's per-command path, or the vector fleet's transition kernels
+(``start_many``/``park_many``), one call per decision, traced as
+``via="controlplane"`` and ``via="fleet"`` respectively.
 """
 
 from __future__ import annotations
@@ -56,27 +56,25 @@ def _activate_many(farm: ServerFarm, count: int) -> int:
     must not receive fresh capacity, or the controller re-creates the
     thermal hazard the macro layer just drained.
 
-    Without a control plane, one scan of the state column picks the
-    lowest SLEEPING rows, then the lowest OFF rows — the same choice
-    as ``count`` repeated single picks, since starting a server only
-    removes *it* from the candidates, and one that keeps the active
-    rows a contiguous run — and the fleet's transition kernel starts
-    them all.  With a :class:`~repro.controlplane.ControlPlane`
-    attached, selection and command go through it one machine at a
-    time: a perfect plane reproduces the same choice, while an
-    impaired one can only select on believed state and each command
-    has to survive the actuation network.
+    One scan of the state column picks the lowest SLEEPING rows, then
+    the lowest OFF rows — the same choice as ``count`` repeated single
+    picks, since starting a server only removes *it* from the
+    candidates, and one that keeps the active rows a contiguous run —
+    and the fleet's transition kernel starts them all.  With an
+    impaired :class:`~repro.controlplane.ControlPlane` attached, the
+    plane makes the same one-scan choice on *believed* state and each
+    command has to survive the actuation network.  (A perfect plane is
+    attached to nothing, so it takes the kernel path.)
     """
     if count <= 0:
         return 0
     quarantined = farm.quarantined_zones
     cp = farm.control_plane
     if cp is not None:
-        started = 0
-        while started < count and cp.activate_one(quarantined):
-            _trace_activate(farm, cp.last_actuated, "controlplane")
-            started += 1
-        return started
+        started = cp.activate_many(quarantined, count)
+        for server in started:
+            _trace_activate(farm, server.name, "controlplane")
+        return len(started)
     rows = farm.fleet.start_startable(quarantined, count)
     if farm.env.tracer is not None:
         for i in rows.tolist():
@@ -89,20 +87,18 @@ def _deactivate_many(farm: ServerFarm, to_sleep: bool, count: int) -> int:
 
     The victims are the highest ACTIVE rows, back to front — what
     ``count`` repeated single-victim picks of the last active server
-    take — stopped in one transition-kernel call; through a control
-    plane, one command at a time.  Never scales below one active
-    server.
+    take — stopped in one transition-kernel call; through an impaired
+    control plane, the believed-ACTIVE tail, one command per victim.
+    Never scales below one active server.
     """
     if count <= 0:
         return 0
     cp = farm.control_plane
     if cp is not None:
-        done = 0
-        while done < count and cp.deactivate_one(to_sleep):
-            _trace_deactivate(farm, cp.last_actuated, to_sleep,
-                              "controlplane")
-            done += 1
-        return done
+        stopped = cp.deactivate_many(to_sleep, count)
+        for server in stopped:
+            _trace_deactivate(farm, server.name, to_sleep, "controlplane")
+        return len(stopped)
     rows = farm.fleet.stop_tail(count, to_sleep)
     if farm.env.tracer is not None:
         for i in rows.tolist():

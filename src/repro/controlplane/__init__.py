@@ -17,9 +17,12 @@ operable on top of them:
 * :mod:`~repro.controlplane.plane` — the ControlPlane facade the
   managers talk to, including the periodic reconciliation loop.
 
-A perfect profile (the default) is a synchronous passthrough that
-keeps every legacy experiment bit-identical; only explicitly impaired
-profiles put the managers on believed state.
+A perfect profile (the default) draws no RNG, schedules no events and
+records no command, so the co-simulation builds it for its report
+only and wires it nowhere: the managers take the fleet kernels, as
+with no plane, and every legacy experiment stays bit-identical.  Only
+explicitly impaired profiles are attached, and they put the managers
+on believed state.
 """
 
 from repro.controlplane.actuation import (

@@ -5,15 +5,17 @@ the :class:`~repro.controlplane.telemetry.TelemetryBus` (sensing), the
 :class:`~repro.controlplane.actuation.ActuationBus` (commanding), and
 the :class:`~repro.controlplane.watchdog.Watchdog` (liveness), and
 exposes exactly the verbs the macro layer needs: observe demand / zone
-temperature / facility status, activate or deactivate one machine,
-set a P-state, apply a cap, drain a server.
+temperature / facility status, activate or deactivate machines, set a
+P-state, apply a cap, drain a server.
 
-The contract that keeps every pre-existing experiment table
-byte-identical: a **perfect** profile (the default) makes every method
-a synchronous passthrough to the same calls the managers used to make
-directly — zero RNG draws, zero scheduled events, bit-identical return
-values.  Only an explicitly impaired profile switches the managers
-onto *believed* state and asynchronous delivery.
+A **perfect** profile (the default) draws no RNG, schedules no events
+and records no command, so :class:`~repro.datacenter.cosim
+.CoSimulation` builds it for its :meth:`ControlPlane.report` only and
+wires it nowhere: the managers then act on the fleet kernels exactly
+as with no plane, which is what keeps every pre-existing experiment
+table byte-identical.  Only an explicitly impaired profile is
+attached, and it switches the managers onto *believed* state and
+asynchronous delivery.
 
 The **reconciliation loop** is the hardening centerpiece: on a fixed
 cadence it folds the newest telemetry state probes into the actuation
@@ -191,10 +193,6 @@ class ControlPlane:
             self.watchdog.monitor(s.name for s in self.servers)
             self.watchdog.expected_down = self._expected_down
         self._by_name = {s.name: s for s in self.servers}
-        #: Name of the server the last activate/deactivate picked —
-        #: read by the flight-recorder hooks, which otherwise only see
-        #: the boolean "one was started" result.
-        self.last_actuated: str | None = None
         self._rack = {s.name: _rack_of(s) for s in self.servers}
         self.farm: "ServerFarm | None" = None
         self.room: "MachineRoom | None" = None
@@ -227,13 +225,7 @@ class ControlPlane:
     # Sensing (manager side)
     # ------------------------------------------------------------------
     def publish_tick(self, farm: "ServerFarm") -> None:
-        """Plant-side sensor sweep, called from the farm tick.
-
-        No-op on a perfect plane: the manager reads ground truth
-        directly, so there is nothing to transport.
-        """
-        if self.perfect:
-            return
+        """Plant-side sensor sweep, called from the farm tick."""
         now = self.env.now
         sense = self.telemetry.sense
         sense("farm.demand", farm.demand_fn(now))
@@ -256,8 +248,6 @@ class ControlPlane:
     def publish_physical(self, status: "FacilityStatus | None" = None
                          ) -> None:
         """Publish zone temps + facility gauges (physical-loop side)."""
-        if self.perfect:
-            return
         if self.room is not None:
             for zone in self.room.zones:
                 self.telemetry.sense(f"temp.{zone.name}", zone.temp_c)
@@ -268,21 +258,17 @@ class ControlPlane:
     def observe_demand(self, t_s: float) -> float:
         """Demand signal as the manager can actually see it."""
         demand = self.farm.demand_fn(t_s)
-        if self.perfect:
-            return demand
         reading = self.telemetry.read("farm.demand")
         return demand if reading.missing else reading.value
 
     def zone_temp(self, zone) -> float:
         """Believed temperature of one thermal zone."""
-        if self.perfect:
-            return zone.temp_c
         reading = self.telemetry.read(f"temp.{zone.name}")
         return zone.temp_c if reading.missing else reading.value
 
     def observe_status(self, status: "FacilityStatus | None"):
         """Facility status with gauges replaced by believed values."""
-        if status is None or self.perfect:
+        if status is None:
             return status
         reading = self.telemetry.read("facility.capacity_w")
         if reading.missing:
@@ -312,52 +298,56 @@ class ControlPlane:
         return [s for s in farm.servers
                 if believed(s) is ServerState.ACTIVE]
 
-    def activate_one(self, quarantined: typing.Container[str],
-                     origin: str = "controller") -> bool:
-        """Wake (preferred) or boot one machine through the bus."""
-        farm = self.farm
-        # Perfect plane selects on ground truth (the exact legacy
-        # scan); an impaired one can only act on believed state.
-        state_of = ((lambda s: s.state) if self.perfect
-                    else self.believed_state)
-        for server in farm.servers:
-            if (state_of(server) is ServerState.SLEEPING
-                    and server.zone not in quarantined):
-                self.actuation.submit(server, CommandKind.WAKE,
-                                      origin=origin)
-                self.last_actuated = server.name
-                return True
-        for server in farm.servers:
-            if (state_of(server) is ServerState.OFF
-                    and server.zone not in quarantined):
-                self.actuation.submit(server, CommandKind.POWER_ON,
-                                      origin=origin)
-                self.last_actuated = server.name
-                return True
-        return False
+    def activate_many(self, quarantined: typing.Container[str],
+                      count: int) -> list[Server]:
+        """Wake (preferred) or boot up to ``count`` machines through
+        the bus; returns them in submit order.
 
-    def deactivate_one(self, to_sleep: bool) -> bool:
-        """Drain + sleep/shut one believed-ACTIVE machine via the bus."""
-        farm = self.farm
-        if self.perfect:
-            active = farm.fleet.active_servers()
-        else:
-            active = self.believed_active(farm)
-        if len(active) <= 1:
-            return False  # never scale to zero
-        victim = active[-1]
+        One scan picks the believed-SLEEPING servers, then the
+        believed-OFF ones, in pool order, outside quarantined zones,
+        and submits one command per server.  A submit changes only
+        its own server's believed state, so this is the choice
+        ``count`` single picks would make, with the same commands in
+        the same order.
+        """
+        believed = self.believed_state
+        wake: list[Server] = []
+        boot: list[Server] = []
+        for server in self.farm.servers:
+            if len(wake) >= count:
+                break
+            if server.zone in quarantined:
+                continue
+            state = believed(server)
+            if state is ServerState.SLEEPING:
+                wake.append(server)
+            elif state is ServerState.OFF and len(boot) < count:
+                boot.append(server)
+        boot = boot[:max(count - len(wake), 0)]
+        for server in wake:
+            self.actuation.submit(server, CommandKind.WAKE)
+        for server in boot:
+            self.actuation.submit(server, CommandKind.POWER_ON)
+        return wake + boot
+
+    def deactivate_many(self, to_sleep: bool, count: int) -> list[Server]:
+        """Drain + sleep/shut up to ``count`` believed-ACTIVE machines,
+        last first, never the last one; returns them in submit order.
+
+        Each submit takes its server out of the believed-ACTIVE
+        roster, so the victims are the roster's tail, back to front —
+        what ``count`` single picks of its last server would take.
+        """
+        active = self.believed_active(self.farm)
+        victims = active[:0:-1][:max(count, 0)]
         kind = CommandKind.SLEEP if to_sleep else CommandKind.SHUT_DOWN
-        self.actuation.submit(victim, kind)
-        self.last_actuated = victim.name
-        return True
+        for victim in victims:
+            self.actuation.submit(victim, kind)
+        return victims
 
     def set_pstate(self, server: Server, index: int) -> None:
-        """Command a P-state; deduped against believed state in chaos."""
-        if self.perfect:
-            self.actuation.submit(server, CommandKind.SET_PSTATE, index)
-            return
-        believed = self.actuation.believed_pstate.get(server.name)
-        if believed == index:
+        """Command a P-state, deduped against the believed one."""
+        if self.actuation.believed_pstate.get(server.name) == index:
             return
         self.actuation.submit(server, CommandKind.SET_PSTATE, index)
 
@@ -370,17 +360,11 @@ class ControlPlane:
     def cap_actuator(self, load, watts: float | None):
         """PowerCapper actuator: route cap commands through the bus.
 
-        ``watts=None`` lifts the cap.  Perfect mode returns exactly
-        what the direct ``apply_cap`` call would have (the capper's
-        delivered-power accounting stays bit-identical); chaos mode
-        returns the load's current draw — the honest reading while the
-        command is still in flight — and dedupes no-op removals so the
+        ``watts=None`` lifts the cap.  Returns the load's current draw
+        — the honest reading while the command is still in flight —
+        and dedupes no-op commands against the believed cap, so the
         bus is not flooded with redundant lifts.
         """
-        if self.perfect:
-            if watts is None:
-                return load.remove_cap()
-            return load.apply_cap(watts)
         believed = self.actuation.believed_cap.get(load.name)
         if watts is None:
             if believed is not None:

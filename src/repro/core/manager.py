@@ -145,12 +145,14 @@ class MacroResourceManager:
         Degraded-operations knobs; defaults to
         :class:`DegradedOpsPolicy`'s defaults.
     control_plane:
-        Optional :class:`~repro.controlplane.ControlPlane` mediating
-        every sensor reading and actuation command.  ``None`` (the
-        default) reads and commands ground truth directly; a perfect
-        plane is a bit-identical synchronous passthrough; an impaired
-        one puts the manager on believed state and feeds watchdog
-        suspicions into the degraded-ops threat calculus.
+        Optional impaired :class:`~repro.controlplane.ControlPlane`
+        mediating every sensor reading and actuation command: it puts
+        the manager on believed state and feeds watchdog suspicions
+        into the degraded-ops threat calculus.  ``None`` (the default)
+        reads ground truth and commands the fleet kernels directly.
+        A perfect plane is never passed here —
+        :class:`~repro.datacenter.cosim.CoSimulation` wires it nowhere,
+        so its managers take the same kernels as with no plane.
     """
 
     def __init__(self, farm: ServerFarm,
@@ -300,16 +302,10 @@ class MacroResourceManager:
 
     def _drain_zone_via_plane(self, cp, zone: str) -> int:
         """The control plane's per-command zone drain: one SHUT_DOWN
-        per server found ACTIVE (believed ACTIVE on an impaired
-        plane), in pool order."""
-        if cp.perfect:
-            victims = [s for s in self.farm.servers
-                       if s.zone == zone
-                       and s.state is ServerState.ACTIVE]
-        else:
-            victims = [s for s in self.farm.servers
-                       if s.zone == zone
-                       and cp.believed_state(s) is ServerState.ACTIVE]
+        per server believed ACTIVE, in pool order."""
+        victims = [s for s in self.farm.servers
+                   if s.zone == zone
+                   and cp.believed_state(s) is ServerState.ACTIVE]
         for server in victims:
             cp.shut_down(server)
         return len(victims)
@@ -390,10 +386,8 @@ class MacroResourceManager:
 
     def _set_pstate_via_plane(self, cp, index: int) -> int:
         """The control plane's per-command P-state move: one SET_PSTATE
-        per server found (believed, on an impaired plane) ACTIVE;
-        returns how many were commanded."""
-        active = (self.farm.active_servers() if cp.perfect
-                  else cp.believed_active(self.farm))
+        per server believed ACTIVE; returns how many were commanded."""
+        active = cp.believed_active(self.farm)
         for server in active:
             cp.set_pstate(server, index)
         return len(active)
@@ -428,7 +422,7 @@ class MacroResourceManager:
                     else self.farm.demand_fn(now))
         audit = self.audit
         if audit is not None:
-            if cp is not None and not cp.perfect:
+            if cp is not None:
                 # Re-read the estimator (pure) to capture the sample's
                 # measurement time and staleness for the audit trail.
                 reading = cp.telemetry.read("farm.demand")
@@ -447,8 +441,7 @@ class MacroResourceManager:
         if audit is None:
             return
         cp = self.control_plane
-        source = ("telemetry" if cp is not None and not cp.perfect
-                  else "direct")
+        source = "telemetry" if cp is not None else "direct"
         domains: list[str] = []
         if status is not None:
             audit.observe("facility.capacity_w",

@@ -118,19 +118,23 @@ class CoSimulation:
                                demand_fn=demand_fn,
                                dispatch_period_s=30.0)
 
-        # Control plane between the plant and the managers.  ``None``
-        # keeps the legacy direct wiring; a perfect profile routes the
-        # same calls through synchronous passthrough buses; an
-        # impaired profile makes the managers operate on believed
-        # state over lossy telemetry and fallible actuation.
+        # Control plane between the plant and the managers.  A perfect
+        # plane draws no RNG, schedules no events and records no
+        # command, so it is built for its report only and wired
+        # nowhere: the managers take the fleet kernels, as with no
+        # plane.  An impaired profile makes the managers operate on
+        # believed state over lossy telemetry and fallible actuation.
         self.control_plane: ControlPlane | None = None
+        wired: ControlPlane | None = None
         if control_plane is not None:
             self.control_plane = ControlPlane(
                 self.env, self.dc.servers, profile=control_plane,
                 streams=streams)
-            self.control_plane.attach(farm=self.farm, room=self.dc.room)
-            for proc in self.control_plane.processes():
-                self.env.process(proc)
+            if not self.control_plane.perfect:
+                wired = self.control_plane
+                wired.attach(farm=self.farm, room=self.dc.room)
+                for proc in wired.processes():
+                    self.env.process(proc)
 
         self.env.process(self.farm.run())
         self.env.process(self.dc.room.run())
@@ -161,21 +165,21 @@ class CoSimulation:
                 room=self.dc.room,
                 heat_by_zone_fn=self.dc.cluster.heat_by_zone,
                 fault_engine=self.fault_engine,
-                control_plane=self.control_plane,
+                control_plane=wired,
                 **(manager_kwargs or {}))
             self.env.process(self.manager.run())
         self._grid_peak_w = 0.0
 
     def _physical_loop(self):
         """Sync compute → power/heat → PUE on a fixed cadence."""
-        cp = self.control_plane
+        cp = self.farm.control_plane
         while True:
             snapshot = self.dc.sync_physical()
             if snapshot["grid_w"] > self._grid_peak_w:
                 self._grid_peak_w = snapshot["grid_w"]
             if cp is not None:
                 # Zone temps + facility gauges cross the telemetry
-                # network on the physical cadence (no-op if perfect).
+                # network on the physical cadence.
                 status = (self.fault_engine.status()
                           if self.fault_engine is not None else None)
                 cp.publish_physical(status)

@@ -47,7 +47,9 @@ So every batch kernel can fold into exactly one rack and one pool —
 including the transition kernel, :meth:`VectorFleet.start_many` (boot
 and wake) and :meth:`VectorFleet.park_many` (sleep, shut down, fail or
 repair), which the On/Off controllers, the macro manager, the fault
-engine and plant bring-up call instead of walking servers one by one.
+engine and plant bring-up call instead of walking servers one by one,
+and the capping kernels :meth:`VectorFleet.apply_caps` and
+:meth:`VectorFleet.lift_caps`, which the power capper calls instead.
 A linear model takes one fused pass; a non-linear one evaluates its
 shape with element-wise ``math.pow`` (libm) rather than ``np.power``,
 because Python's ``u ** r`` and ``np.power`` differ by 1 ulp on some
@@ -581,15 +583,38 @@ class VectorFleet:
                 break
         return np.concatenate(picked)
 
+    def demand_column(self) -> np.ndarray:
+        """``demand_w()`` of every row — its draw with no cap (a
+        fresh array)."""
+        return self._draws_at(None)
+
     def total_demand_w(self) -> float:
         """Uncapped fleet demand (the capper input): ``demand_w()``
         summed over the rows in pool order."""
+        return float(np.cumsum(self.demand_column())[-1])
+
+    def uncap_candidates(self) -> np.ndarray:
+        """Rows where ``remove_cap()`` is not a no-op, in pool order."""
+        return np.flatnonzero(~np.isnan(self.cap_w) | (self.tstate != 0))
+
+    # ------------------------------------------------------------------
+    # Capping kernels (the capper's fleet path)
+    # ------------------------------------------------------------------
+    def _draws_at(self, tstate: int | None) -> np.ndarray:
+        """Every row's draw with ACTIVE rows at ``tstate``: at ``None``
+        (T0, uncapped) the non-ACTIVE rows draw their state's power,
+        as ``demand_w()`` says; at a T-state they hold their cached
+        power, as ``min_power_w()`` says."""
         code = self.state_code
-        demand = self.off_w.copy()          # OFF and FAILED rows
-        mask = (code == C_BOOTING) | (code == C_WAKING)
-        demand[mask] = self.boot_w[mask]
-        mask = code == C_SLEEPING
-        demand[mask] = self.sleep_w[mask]
+        if tstate is None:
+            draw = self.off_w.copy()            # OFF and FAILED rows
+            mask = (code == C_BOOTING) | (code == C_WAKING)
+            draw[mask] = self.boot_w[mask]
+            mask = code == C_SLEEPING
+            draw[mask] = self.sleep_w[mask]
+            tstate = 0
+        else:
+            draw = self.power.copy()
         active = np.flatnonzero(code == C_ACTIVE)
         if active.size:
             # ``flatnonzero`` rows are ascending and unique, so a
@@ -597,14 +622,100 @@ class VectorFleet:
             # replace every per-column gather.
             rows = slice(None) if active.size == code.size else active
             p = self.pstate[rows]
-            cap0 = self.capacity[rows] * self._cap_fractions(p, 0)
-            demand[rows] = self._active_power(
-                rows, self.offered[rows], cap0, p, 0)
-        return float(np.cumsum(demand)[-1])
+            eff = self.capacity[rows] * self._cap_fractions(p, tstate)
+            draw[rows] = self._active_power(rows, self.offered[rows], eff,
+                                            p, tstate)
+        return draw
 
-    def uncap_candidates(self) -> np.ndarray:
-        """Rows where ``remove_cap()`` is not a no-op, in pool order."""
-        return np.flatnonzero(~np.isnan(self.cap_w) | (self.tstate != 0))
+    def cap_floors(self) -> np.ndarray:
+        """``min_power_w()`` of every row: ACTIVE rows at the deepest
+        T-state (T0 for a table without T-states), the rest at their
+        held draw."""
+        return self._draws_at(self.cap_frac.shape[1] - 1)
+
+    def lift_caps(self, draws: np.ndarray) -> None:
+        """``remove_cap()`` on every row, in bulk.
+
+        ``draws`` is :meth:`demand_column` as of now: each row's power
+        once lifted.  Only rows with a cap or a T-state set are
+        touched, as the scalar call returns early on the rest.
+        """
+        self._lift(self.uncap_candidates(), draws)
+
+    def _lift(self, rows: np.ndarray, draws: np.ndarray) -> None:
+        """Clear the cap and T-state of ``rows``; record them at their
+        uncapped ``draws``."""
+        if rows.size:
+            self.cap_w[rows] = np.nan
+            self._record(rows, 0, draws[rows])
+
+    def _record(self, rows: np.ndarray, tstates, newp: np.ndarray) -> None:
+        """``_record_power`` for ``rows`` moved to ``tstates`` and
+        drawing ``newp``: a meter flush, fresh effective capacity,
+        the new power and the ledger fold."""
+        oldp = self._flush(rows, self.env.now)
+        self.tstate[rows] = tstates
+        eff = self.capacity[rows] * self._cap_fractions(self.pstate[rows],
+                                                        tstates)
+        self.eff_cap[rows] = np.where(self.state_code[rows] == C_ACTIVE,
+                                      eff, 0.0)
+        self.power[rows] = newp
+        self.mutation_epoch += 1
+        self._fold_power(rows, oldp, newp)
+
+    def apply_caps(self, shares: np.ndarray,
+                   draws: np.ndarray) -> np.ndarray:
+        """``apply_cap(share)`` on every row whose draw exceeds its
+        share and ``remove_cap()`` on the rest, in bulk; returns each
+        row's delivered draw — ``apply_cap``'s return value on a
+        throttled row, its draw on the others.
+
+        A throttled non-ACTIVE row only records its cap.  A throttled
+        ACTIVE row takes the first T-state whose draw fits under its
+        share (the deepest if none does) and is recorded there.
+        """
+        hot = np.flatnonzero(draws > shares)
+        delivered = draws.copy()
+        if hot.size:
+            self.cap_w[hot] = shares[hot]
+            self.mutation_epoch += 1
+            delivered[hot] = self.power[hot]
+            run = hot[self.state_code[hot] == C_ACTIVE]
+            if run.size:
+                tstates, newp = self._fit_tstates(run, shares[run])
+                self._record(run, tstates, newp)
+                delivered[run] = newp
+        lift = self.uncap_candidates()
+        self._lift(lift[draws[lift] <= shares[lift]], draws)
+        return delivered
+
+    def _fit_tstates(self, rows: np.ndarray,
+                     watts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``apply_cap``'s T-state search on ACTIVE ``rows``: the
+        first T-state whose draw is at most ``watts``, else the
+        deepest, with the draw there.  Each pass evaluates only the
+        rows still searching.  A table without T-states yields -1,
+        the scalar loop's fall-through value, at the T0 draw."""
+        deepest = (self.cap_frac.shape[1] if self.has_tstates else 0) - 1
+        tstates = np.full(rows.size, deepest, dtype=np.int64)
+        power = np.empty(rows.size, dtype=np.float64)
+        left = np.arange(rows.size)
+        last = max(deepest, 0)
+        for t in range(last + 1):
+            r = rows[left]
+            p = self.pstate[r]
+            eff = self.capacity[r] * self._cap_fractions(p, t)
+            draw = self._active_power(r, self.offered[r], eff, p, t)
+            if t == last:
+                power[left] = draw
+                break
+            fit = draw <= watts[left]
+            tstates[left[fit]] = t
+            power[left[fit]] = draw[fit]
+            left = left[~fit]
+            if not left.size:
+                break
+        return tstates, power
 
     # ------------------------------------------------------------------
     # Transition kernel: boot, wake, drain + sleep/shut down

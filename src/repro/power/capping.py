@@ -14,9 +14,42 @@ from __future__ import annotations
 
 import typing
 
+import numpy as np
+
 from repro.sim import Environment, Monitor
 
 __all__ = ["PowerCapper", "CapDecision", "CappableLoad"]
+
+
+def _fold(values: np.ndarray) -> float:
+    """``values`` summed as one left fold, in order (what Python's
+    ``sum`` does before 3.12, which compensates)."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def fair_shares(target_w: float, floors: np.ndarray,
+                draws: np.ndarray) -> np.ndarray:
+    """Proportional shares of ``target_w``, floored at each load's
+    minimum, with any overshoot the floors cause trimmed from the
+    loads that have slack above their floor.
+
+    Each step is the per-load arithmetic of the original list code,
+    element for element, and every total is a left fold, so the
+    shares are the same bits for a fleet's columns and a list of
+    loads.
+    """
+    total_draw = _fold(draws) or 1.0
+    prop = target_w * draws / total_draw
+    shares = np.where(prop > floors, prop, floors)
+    overshoot = _fold(shares) - target_w
+    if overshoot > 0:
+        # Floors pushed us over; trim the loads with slack.
+        slack = shares - floors
+        total_slack = _fold(slack)
+        if total_slack > 0:
+            trim = min(overshoot, total_slack)
+            shares = shares - trim * (slack / total_slack)
+    return shares
 
 
 class CappableLoad(typing.Protocol):
@@ -90,9 +123,10 @@ class PowerCapper:
         """The loads' VectorFleet when they are exactly its pool.
 
         The common-case wiring (capper over ``farm.servers`` with no
-        actuator) lets the per-tick demand fold and the no-op uncap
-        sweep run on fleet columns.  Checked once — pool membership
-        cannot change after construction.
+        actuator) runs the whole evaluation on fleet columns: the
+        demand fold, the shares and the cap and lift kernels.
+        Checked once — pool membership cannot change after
+        construction.
         """
         if not self._fleet_checked:
             self._fleet_checked = True
@@ -111,25 +145,34 @@ class PowerCapper:
         """Draw level at which capping engages (budget minus guard)."""
         return self.budget_w * (1.0 - self.guard_band)
 
+    def _command(self, load, watts: float | None):
+        """Cap (or, at ``None``, lift) one load; returns its draw.
+
+        Through the actuator when one is wired, else on the load.
+        """
+        if self.actuator is not None:
+            return self.actuator(load, watts)
+        if watts is None:
+            return load.remove_cap()
+        return load.apply_cap(watts)
+
     def evaluate(self) -> CapDecision:
         """Measure, decide, and apply caps.  Returns the decision."""
         fleet = self._vector_fleet()
-        demand = (fleet.total_demand_w() if fleet is not None
-                  else sum(load.demand_w() for load in self.loads))
+        if fleet is not None:
+            draws = fleet.demand_column()
+        else:
+            draws = np.array([load.demand_w() for load in self.loads],
+                             dtype=np.float64)
+        demand = _fold(draws)
         self.demand_monitor.record(demand)
 
         if demand <= self.trigger_w:
             if fleet is not None:
-                # ``remove_cap`` is a no-op unless a cap or T-state is
-                # set; sweep only the rows where it would act.
-                for i in fleet.uncap_candidates().tolist():
-                    fleet.objs[i].remove_cap()
+                fleet.lift_caps(draws)
             else:
                 for load in self.loads:
-                    if self.actuator is not None:
-                        self.actuator(load, None)
-                    else:
-                        load.remove_cap()
+                    self._command(load, None)
             decision = CapDecision(self.env.now, demand, self.budget_w,
                                    capped=False, throttled_loads=0,
                                    shed_w=0.0)
@@ -145,37 +188,26 @@ class PowerCapper:
         # Proportional shares of the *trigger* level, floored at each
         # load's minimum; redistribute leftover headroom greedily so
         # the budget is fully used.
-        target_total = self.trigger_w
-        floors = [load.min_power_w() for load in self.loads]
-        draws = [load.demand_w() for load in self.loads]
-        total_draw = sum(draws) or 1.0
-        shares = [max(f, target_total * d / total_draw)
-                  for f, d in zip(floors, draws)]
-        overshoot = sum(shares) - target_total
-        if overshoot > 0:
-            # Floors pushed us over; trim the loads with slack.
-            slack = [s - f for s, f in zip(shares, floors)]
-            total_slack = sum(slack)
-            if total_slack > 0:
-                trim = min(overshoot, total_slack)
-                shares = [s - trim * (sl / total_slack)
-                          for s, sl in zip(shares, slack)]
-
-        throttled = 0
-        delivered = 0.0
-        for load, share, draw in zip(self.loads, shares, draws):
-            if draw > share:
-                if self.actuator is not None:
-                    delivered += self.actuator(load, share)
+        if fleet is not None:
+            floors = fleet.cap_floors()
+        else:
+            floors = np.array([load.min_power_w() for load in self.loads],
+                              dtype=np.float64)
+        shares = fair_shares(self.trigger_w, floors, draws)
+        hot = draws > shares
+        throttled = int(np.count_nonzero(hot))
+        if fleet is not None:
+            delivered = _fold(fleet.apply_caps(shares, draws))
+        else:
+            delivered = 0.0
+            for load, share, draw, capped in zip(
+                    self.loads, shares.tolist(), draws.tolist(),
+                    hot.tolist()):
+                if capped:
+                    delivered += self._command(load, share)
                 else:
-                    delivered += load.apply_cap(share)
-                throttled += 1
-            else:
-                if self.actuator is not None:
-                    self.actuator(load, None)
-                else:
-                    load.remove_cap()
-                delivered += draw
+                    self._command(load, None)
+                    delivered += draw
         decision = CapDecision(self.env.now, demand, self.budget_w,
                                capped=True, throttled_loads=throttled,
                                shed_w=max(0.0, demand - delivered))

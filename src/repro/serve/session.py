@@ -11,9 +11,9 @@ contract: a served run is bit-identical to its in-process replay
 because there is no second implementation to diverge.
 
 Every mutation runs inside an :meth:`AuditTrail.external` record, so
-the actuations it causes (cap evaluate → APPLY_CAP bus commands,
-forecaster swaps, fault injections) are stamped with a decision id
-that goes back to the client in the acknowledgement frame.
+the actuations it causes (cap tightenings and releases, forecaster
+swaps, fault injections) are stamped with a decision id that goes
+back to the client in the acknowledgement frame.
 """
 
 from __future__ import annotations
@@ -151,8 +151,9 @@ class SimSession:
         budget_w = (scenario.budget_fraction * spec.total_servers
                     * spec.server_peak_w)
         self.tracer = Tracer()
-        # A perfect control plane + empty fault schedule: every cap
-        # command crosses the ActuationBus, and the fault engine exists
+        # A perfect control plane + empty fault schedule: the plane
+        # is built for its report and wired nowhere, so caps and
+        # On/Off moves take the fleet kernels; the fault engine exists
         # for live injection, without perturbing the unfaulted run.
         self.sim = CoSimulation(
             spec, self.demand, managed=True,

@@ -8,6 +8,7 @@ dropout/noise/partition, retry-with-backoff convergence, idempotent
 re-delivery, watchdog debouncing, and the reconciliation self-heal.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -28,9 +29,11 @@ from repro.controlplane import (
     apply_command,
     settled_state,
 )
+from repro.core.faults import FaultKind, FaultSchedule, Incident
 from repro.datacenter.cosim import CoSimulation
 from repro.datacenter.spec import DataCenterSpec
 from repro.fleet import VectorFleet, VectorServer
+from repro.serve.protocol import result_fingerprint
 from repro.sim import Environment, RandomStreams
 
 
@@ -444,6 +447,98 @@ def test_reconcile_calls_fleet_verify():
 
 
 # ----------------------------------------------------------------------
+# Batch picks on an impaired plane vs the one-at-a-time loop
+# ----------------------------------------------------------------------
+def _mediated_farm():
+    """A hardened plane over 12 servers in three zones: ACTIVE,
+    SLEEPING and OFF rows, plus two open commands that make believed
+    state differ from the plant (a SLEEP and a WAKE in flight)."""
+    env = Environment()
+    fleet = VectorFleet(env, 12)
+    servers = [VectorServer(fleet, env, f"dc-r{i // 6}-s{i}",
+                            zone=f"z{i % 3}") for i in range(12)]
+    fleet.make_aggregate(servers[:6], "rack")
+    fleet.make_aggregate(servers[6:], "rack")
+    farm = ServerFarm(env, servers, demand_fn=lambda t: 0.0)
+    for server in servers[:8]:
+        server.power_on()
+    env.run(until=130.0)
+    for server in servers[2:5]:
+        server.sleep()
+    plane = ControlPlane(env, servers, ControlPlaneProfile.hardened(),
+                         streams=RandomStreams(5))
+    plane.attach(farm=farm)
+    plane.actuation.submit(servers[6], CommandKind.SLEEP)
+    plane.actuation.submit(servers[3], CommandKind.WAKE)
+    return env, plane
+
+
+def _activate_one(plane, quarantined):
+    """The one-at-a-time pick ``activate_many`` replaces: the first
+    believed-SLEEPING server, else the first believed-OFF one."""
+    for target, kind in ((ServerState.SLEEPING, CommandKind.WAKE),
+                         (ServerState.OFF, CommandKind.POWER_ON)):
+        for server in plane.farm.servers:
+            if (plane.believed_state(server) is target
+                    and server.zone not in quarantined):
+                plane.actuation.submit(server, kind)
+                return server
+    return None
+
+
+def _deactivate_one(plane, to_sleep):
+    """The one-at-a-time pick ``deactivate_many`` replaces."""
+    active = plane.believed_active(plane.farm)
+    if len(active) <= 1:
+        return None
+    plane.actuation.submit(active[-1], CommandKind.SLEEP if to_sleep
+                           else CommandKind.SHUT_DOWN)
+    return active[-1]
+
+
+def _assert_same_plane(env_a, a, env_b, b):
+    env_a.run(until=env_a.now + 600.0)
+    env_b.run(until=env_b.now + 600.0)
+    assert a.actuation.records == b.actuation.records
+    assert (a.actuation._rng.bit_generator.state
+            == b.actuation._rng.bit_generator.state)
+    assert ([s.state for s in a.servers]
+            == [s.state for s in b.servers])
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 6, 20])
+@pytest.mark.parametrize("quarantined", [set(), {"z1"}, {"z0", "z2"}])
+def test_activate_many_equals_single_picks(count, quarantined):
+    env_a, batch = _mediated_farm()
+    env_b, single = _mediated_farm()
+    picked = batch.activate_many(quarantined, count)
+    oracle = []
+    while len(oracle) < count:
+        server = _activate_one(single, quarantined)
+        if server is None:
+            break
+        oracle.append(server)
+    assert [s.name for s in picked] == [s.name for s in oracle]
+    _assert_same_plane(env_a, batch, env_b, single)
+
+
+@pytest.mark.parametrize("count", [0, 1, 4, 20])
+@pytest.mark.parametrize("to_sleep", [True, False])
+def test_deactivate_many_equals_single_picks(count, to_sleep):
+    env_a, batch = _mediated_farm()
+    env_b, single = _mediated_farm()
+    stopped = batch.deactivate_many(to_sleep, count)
+    oracle = []
+    while len(oracle) < count:
+        server = _deactivate_one(single, to_sleep)
+        if server is None:
+            break
+        oracle.append(server)
+    assert [s.name for s in stopped] == [s.name for s in oracle]
+    _assert_same_plane(env_a, batch, env_b, single)
+
+
+# ----------------------------------------------------------------------
 # FleetAggregate.verify
 # ----------------------------------------------------------------------
 def test_fleet_verify_repairs_all_cached_aggregates():
@@ -475,15 +570,23 @@ def test_fleet_verify_repairs_all_cached_aggregates():
 # ----------------------------------------------------------------------
 # Perfect-plane equivalence: the byte-identity guarantee
 # ----------------------------------------------------------------------
-def _cosim(control_plane):
+def _cosim(control_plane, faulted=False):
     spec = DataCenterSpec(racks=2, servers_per_rack=5, zones=2, cracs=2)
     capacity = spec.total_servers * spec.server_capacity
 
     def demand(t):
         return capacity * (0.4 + 0.3 * math.sin(t / 7200.0))
 
+    if not faulted:
+        return CoSimulation(spec, demand, control_plane=control_plane,
+                            streams=RandomStreams(17))
+    faults = FaultSchedule([
+        Incident(FaultKind.CRAC_FAILURE, 2 * 3600.0, 3 * 3600.0,
+                 target=0),
+        Incident(FaultKind.UTILITY_OUTAGE, 4 * 3600.0, 1800.0)])
     return CoSimulation(spec, demand, control_plane=control_plane,
-                        streams=RandomStreams(17))
+                        streams=RandomStreams(17), fault_schedule=faults,
+                        power_budget_w=2000.0)
 
 
 def test_perfect_plane_is_bit_identical_to_no_plane():
@@ -508,6 +611,18 @@ def test_perfect_plane_is_bit_identical_to_no_plane():
     report = r1.controlplane
     assert report.telemetry_published == 0
     assert report.watchdog_checks == 0
+
+
+def test_perfect_plane_is_bit_identical_on_a_capped_faulted_day():
+    bare = _cosim(None, faulted=True)
+    mediated = _cosim(ControlPlaneProfile(), faulted=True)
+    r0 = bare.run(6 * 3600.0)
+    r1 = mediated.run(6 * 3600.0)
+    assert any(d.throttled_loads for d in mediated.manager.capper.decisions)
+    assert r1.resilience.incident_count == 2
+    assert result_fingerprint(r0) == result_fingerprint(
+        dataclasses.replace(r1, controlplane=None))
+    assert r1.controlplane.commands_issued == 0
 
 
 def test_hardened_plane_converges_with_zero_divergence():

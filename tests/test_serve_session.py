@@ -7,7 +7,9 @@ telemetry reads are observer-effect-free — so a watched, chunked,
 served run fingerprints identically to one straight run.
 """
 
+import collections
 import gc
+import hashlib
 import math
 import weakref
 
@@ -233,6 +235,50 @@ def test_decision_ids_are_distinct_and_audited():
     external = [r for r in session.sim.manager.audit.records
                 if r.outputs.get("origin") == "external"]
     assert {r.decision_id for r in external} == set(ids)
+
+
+# ----------------------------------------------------------------------
+# The served result, pinned across commits
+# ----------------------------------------------------------------------
+#: sha256 of the pinned day's ``result_fingerprint``.  The served vs
+#: replay gates compare two runs of the same code, so they cannot see
+#: a drift both share; this digest can.  Change it only with a change
+#: that is meant to move served results, and say so.
+PINNED_DAY_SHA256 = (
+    "03460037600ef43c2b059099812c402064b48bb645bc92e83b93c05ef19c6674")
+
+
+def run_pinned_day():
+    """A 5-rack served day: a 20k-session flash-crowd script, a tight
+    ``SetCap``, then a CRAC failure and a utility outage.  Returns the
+    session, its result and a count of every tracer event name."""
+    scenario = ServeScenario(racks=5)
+    script, ticks = session_script(scenario, 20_000, days=1.0)
+    script += [
+        SetCap(at_s=14 * 3600.0, budget_w=20_000.0),
+        InjectFault(at_s=16 * 3600.0, kind="crac-failure",
+                    duration_s=3 * 3600.0, target=0),
+        InjectFault(at_s=20 * 3600.0, kind="utility-outage",
+                    duration_s=1800.0),
+    ]
+    session = SimSession(scenario)
+    names = collections.Counter()
+    session.tracer.sinks.append(lambda event: names.update([event.name]))
+    return session, session.run_script(script, ticks), names
+
+
+def test_pinned_served_day_keeps_its_fingerprint():
+    session, result, names = run_pinned_day()
+    digest = hashlib.sha256(
+        result_fingerprint(result).encode()).hexdigest()
+    assert digest == PINNED_DAY_SHA256
+    # The day exercises every macro lever the digest pins.
+    manager = session.sim.manager
+    assert any(d.throttled_loads for d in manager.capper.decisions)
+    assert manager.drains
+    assert names["dvfs.floor"] >= 1
+    assert names["onoff.activate"] and names["onoff.deactivate"]
+    assert result.resilience.incident_count == 2
 
 
 # ----------------------------------------------------------------------
